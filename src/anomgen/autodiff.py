@@ -116,16 +116,25 @@ class Tensor:
             np.mean(self.data), (self,), (lambda g: np.full(self.data.shape, float(g) / n),)
         )
 
-    def row(self, i: int):
-        """Select row i of a 2-D tensor; gradient scatters back into that row."""
-        i = int(i)
+    @property
+    def T(self):
+        """Transpose of a 2-D tensor."""
+        return Tensor._node(self.data.T, (self,), (lambda g: g.T,))
+
+    def row(self, index):
+        """Gather row(s) of a 2-D tensor by an int or an int array.
+
+        The gradient scatter-adds back, so a row gathered twice receives
+        the sum of both contributions.
+        """
+        index = np.asarray(index, dtype=np.intp)
 
         def vjp(g):
             out = np.zeros_like(self.data)
-            out[i] = g
+            np.add.at(out, index, g)
             return out
 
-        return Tensor._node(self.data[i], (self,), (vjp,))
+        return Tensor._node(self.data[index], (self,), (vjp,))
 
     def sigmoid(self):
         s = _sigmoid(self.data)

@@ -17,8 +17,8 @@ import os
 import sys
 
 from . import dataset, pipeline, sampler, schedule as sched
+from .optim import DivergenceError
 from .pipeline import DESK_DEFAULTS
-from .trainer import DivergenceError
 
 EXIT_BAD_CONFIG = 2
 EXIT_MISSING_INPUT = 3
@@ -114,13 +114,15 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
             raise FileNotFoundError(f"missing config file: {args.config}")
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError("config file must hold a JSON object")
         file_cmd = loaded.pop("command", command)
         if file_cmd != command:
             raise ConfigError(f"config is for command {file_cmd!r}, not {command!r}")
         unknown = set(loaded) - set(spec)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
+        cfg.update({k: _typed(k, v, spec[k][0]) for k, v in loaded.items()})
     for name in spec:
         v = getattr(args, name)
         if v is not None:
@@ -129,6 +131,24 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     if missing:
         raise ConfigError(f"missing required options: {missing}")
     return cfg
+
+
+def _typed(name: str, value, typ):
+    """A config-file value checked against its option's type; ints pass as floats."""
+    if typ is float and type(value) is int:
+        return float(value)
+    if type(value) is not typ:
+        raise ConfigError(f"config value {name}={value!r} is not of type {typ.__name__}")
+    return value
+
+
+def _conditions(name: str) -> list[str]:
+    valid = [f"{c}_{d}" for c in dataset.CATEGORIES for d in dataset.DEFECTS]
+    if name == "all":
+        return valid
+    if name not in valid:
+        raise ConfigError(f"unknown condition {name!r}; valid: all, {', '.join(valid)}")
+    return [name]
 
 
 def _write_run_json(out_dir: str, command: str, cfg: dict) -> None:
@@ -175,17 +195,20 @@ def _run(command: str, cfg: dict) -> None:
             k_min=cfg["kmin"], k_max=cfg["kmax"], seed=cfg["seed"])
         log.save_csv(os.path.join(cfg["out"], "train_log.csv"))
     elif command == "sample":
+        conds = _conditions(cfg["condition"])
+        if cfg["n"] < 1:
+            raise ConfigError("n must be >= 1")
+        guidance = _guidance(cfg)
         _check_inputs(cfg["ref"], cfg["adapters"])
         _write_run_json(cfg["out"], command, cfg)
-        conds = ([f"{c}_{d}" for c in dataset.CATEGORIES for d in dataset.DEFECTS]
-                 if cfg["condition"] == "all" else [cfg["condition"]])
         pipeline.run_sample(cfg["ref"], cfg["adapters"], cfg["out"], conditions=conds,
-                            n_samples=cfg["n"], guidance=_guidance(cfg), seed=cfg["seed"])
+                            n_samples=cfg["n"], guidance=guidance, seed=cfg["seed"])
     elif command == "localize":
+        guidance = _guidance(cfg)
         _check_inputs(cfg["ref"], cfg["adapters"], os.path.join(cfg["data"], "manifest.json"))
         _write_run_json(cfg["out"], command, cfg)
         pipeline.run_localize(cfg["ref"], cfg["adapters"], cfg["data"], cfg["out"],
-                              guidance=_guidance(cfg), seed=cfg["seed"], split=cfg["split"])
+                              guidance=guidance, seed=cfg["seed"], split=cfg["split"])
     elif command == "eval":
         _check_inputs(os.path.join(cfg["data"], "manifest.json"), cfg["maps"])
         _write_run_json(cfg["out"], command, cfg)

@@ -33,14 +33,6 @@ MASK_EPS = 1e-6
 
 
 @dataclass(frozen=True)
-class Category:
-    name: str
-    period: int = 8
-    contrast: float = 0.25
-    side: int = IMAGE_SIDE
-
-
-@dataclass(frozen=True)
 class DefectSpec:
     kind: str
     intensity: float

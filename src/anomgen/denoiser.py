@@ -1,9 +1,9 @@
 """Conditional noise-prediction network with gated low-rank adapters.
 
-A 4-layer dense net on flattened 16x16 latents.  Class-token and
-sinusoidal time embeddings are added to the first hidden activation.
-Adapters contribute B @ diag(mask) @ A on top of each frozen weight
-matrix, with the mask width shrinking as the timestep grows.
+A 4-layer dense net on batches of flattened 16x16 latents.  Class-token
+and sinusoidal time embeddings are added to the first hidden activation.
+Adapters are applied unmerged: each layer adds ((h A^T) * mask) B^T to
+the frozen h W^T, with the mask width shrinking as the timestep grows.
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ def gate_dims(gate: TemporalGate, t: int) -> int:
     return int(np.floor(gate.k_min + (gate.k_max - gate.k_min) * (gate.T - t) / gate.T))
 
 
-def gate_matrix(gate: TemporalGate, t: int) -> np.ndarray:
-    """Diagonal of G_t: first k(t) entries one, remainder zero."""
-    k = gate_dims(gate, t)
-    mask = np.zeros(gate.k_max, dtype=np.float64)
-    mask[:k] = 1.0
-    return mask
+def gate_matrix(gate: TemporalGate, t) -> np.ndarray:
+    """Diagonal of G_t: first k(t) entries one, remainder zero; one row per timestep."""
+    k = np.array([gate_dims(gate, int(ti)) for ti in np.ravel(t)], dtype=np.intp)
+    mask = (np.arange(gate.k_max) < k[:, None]).astype(np.float64)
+    return mask.reshape(np.shape(t) + (gate.k_max,))
 
 
 class LoraStack:
@@ -73,27 +72,26 @@ class LoraStack:
         return self.A + self.B
 
     def layer_delta(self, i: int, mask: np.ndarray) -> Tensor:
-        """Graph node for B_i @ diag(mask) @ A_i."""
+        """Merged update B_i @ diag(mask) @ A_i; the forward never builds it."""
         if mask.shape != (self.rank,):
             raise ValueError("mask length must equal adapter rank")
         return self.B[i] @ (Tensor(mask[:, None]) * self.A[i])
 
 
 def effective_delta(adapter: LoraStack, gate: TemporalGate, t: int, layer: int = 0) -> np.ndarray:
-    """Concrete weight update for one adapted layer at timestep t."""
+    """Merged weight update of one adapted layer at timestep t (test oracle)."""
     if gate.k_max != adapter.rank:
         raise ValueError("gate k_max must equal adapter rank")
     return adapter.layer_delta(layer, gate_matrix(gate, t)).data
 
 
-def sinusoidal_embedding(t: int, dim: int, max_period: float = 10000.0) -> np.ndarray:
+def sinusoidal_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
+    """Embedding of a timestep, shape (dim,); an array of timesteps adds leading axes."""
     half = dim // 2
     freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
-    ang = t * freqs
-    emb = np.concatenate([np.cos(ang), np.sin(ang)])
-    if emb.size < dim:
-        emb = np.concatenate([emb, np.zeros(dim - emb.size)])
-    return emb
+    ang = np.multiply.outer(np.asarray(t, dtype=np.float64), freqs)
+    pad = np.zeros(ang.shape[:-1] + (dim - 2 * half,))
+    return np.concatenate([np.cos(ang), np.sin(ang), pad], axis=-1)
 
 
 class Denoiser:
@@ -135,44 +133,50 @@ class Denoiser:
     def state_arrays(self) -> list[np.ndarray]:
         return [p.data for p in self.params]
 
-    def copy(self) -> "Denoiser":
-        other = Denoiser(self.latent_dim, self.hidden, self.n_tokens,
-                         time_max_period=self.time_max_period)
-        for dst, src in zip(other.params, self.params):
-            dst.data = src.data.copy()
-        return other
-
     # -- forward --------------------------------------------------------------
 
-    def forward(self, z_t, c: int | None, t: int,
-                adapters: LoraStack | None = None,
+    def forward(self, z_t, c, t, adapters: LoraStack | None = None,
                 gate: TemporalGate | None = None) -> Tensor:
-        """Noise prediction; with adapters each layer uses W + B diag(mask) A."""
-        token = NULL_TOKEN if c is None else int(c)
-        if not (0 <= token < self.n_tokens):
-            raise ValueError(f"unknown token: {token}")
+        """Noise prediction for a latent (D,) or a batch of latents (B, D).
+
+        c and t are a token and a timestep shared by every row, or one per
+        row; c=None is the null token.  With adapters each layer computes
+        h W^T + ((h A^T) * mask_k(t)) B^T without merging the weights.
+        """
         if adapters is not None and gate is None:
             raise ValueError("adapters require a temporal gate")
+        if adapters is not None and gate.k_max != adapters.rank:
+            raise ValueError("gate k_max must equal adapter rank")
 
-        x = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t, dtype=np.float64))
-        if x.data.shape != (self.latent_dim,):
+        z = np.asarray(z_t, dtype=np.float64)
+        single = z.ndim == 1
+        z = z[None, :] if single else z
+        if z.ndim != 2 or z.shape[1] != self.latent_dim:
             raise ValueError("latent shape mismatch")
+        rows = z.shape[0]
 
-        mask = gate_matrix(gate, t) if adapters is not None else None
-        emb_t = Tensor(sinusoidal_embedding(t, self.hidden, self.time_max_period))
-        emb_c = self.cond_table.row(token)
+        tokens = np.asarray(NULL_TOKEN if c is None else c)
+        ts = np.asarray(t)
+        for name, v in (("token", tokens), ("timestep", ts)):
+            if v.ndim and v.shape != (rows,):
+                raise ValueError(f"need one {name} per latent row")
+        bad = tokens[(tokens < 0) | (tokens >= self.n_tokens)]
+        if bad.size:
+            raise ValueError(f"unknown token: {int(bad.flat[0])}")
+        # a shared token or timestep gives one row that broadcasts over the batch
+        emb = self.cond_table.row(tokens) + sinusoidal_embedding(ts, self.hidden,
+                                                                 self.time_max_period)
+        mask = Tensor(gate_matrix(gate, ts)) if adapters is not None else None
 
-        h = x
+        h = Tensor(z)
         for i in range(self.N_LAYERS):
-            w: Tensor = self.weights[i]
+            out = h @ self.weights[i].T + self.biases[i]
             if adapters is not None:
-                w = w + adapters.layer_delta(i, mask)
-            h = w @ h + self.biases[i]
+                out = out + ((h @ adapters.A[i].T) * mask) @ adapters.B[i].T
             if i == 0:
-                h = h + emb_c + emb_t
-            if i < self.N_LAYERS - 1:
-                h = h.silu()
-        return h
+                out = out + emb
+            h = out.silu() if i < self.N_LAYERS - 1 else out
+        return h.row(0) if single else h
 
 
 def predict_noise(model: Denoiser, adapters: LoraStack | None, z_t, c, t,
@@ -204,6 +208,7 @@ def load_reference(path) -> tuple[Denoiser, str, int]:
             if arr.shape != p.data.shape:
                 raise ValueError("checkpoint tensor shape mismatch")
             p.data = arr
+    model.set_trainable(False)
     return model, kind, T
 
 
@@ -233,6 +238,7 @@ def load_adapters(path, model: Denoiser) -> tuple[LoraStack, TemporalGate, str, 
             if arr.shape != p.data.shape:
                 raise ValueError("checkpoint tensor shape mismatch")
             p.data = arr
+            p.requires_grad = False
     return adapters, gate, kind, T
 
 
@@ -246,9 +252,11 @@ def _write_header(fh, role: int, kind: str, T: int, dims) -> None:
 def _read_header(fh):
     if fh.read(4) != CKPT_MAGIC:
         raise ValueError("bad checkpoint magic")
-    version, role, kind_code = struct.unpack("<IBB", fh.read(6))
+    version, role, kind_code = tensorio.unpack(fh, "<IBB")
     if version != CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (T,) = struct.unpack("<I", fh.read(4))
-    dims = struct.unpack("<5I", fh.read(20))
+    if kind_code not in _KIND_NAMES:
+        raise ValueError(f"unknown schedule kind code {kind_code} in checkpoint")
+    (T,) = tensorio.unpack(fh, "<I")
+    dims = tensorio.unpack(fh, "<5I")
     return role, _KIND_NAMES[kind_code], T, dims

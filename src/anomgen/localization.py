@@ -18,10 +18,10 @@ _KERNEL = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
 
 
 def upsample_bilinear(m: np.ndarray, target_dims) -> np.ndarray:
-    """Align-corners bilinear interpolation; exact on affine fields."""
+    """Align-corners bilinear interpolation of the last two axes; exact on affine fields."""
     m = np.asarray(m, dtype=np.float64)
     th, tw = int(target_dims[0]), int(target_dims[1])
-    sh, sw = m.shape
+    sh, sw = m.shape[-2:]
     if th < sh or tw < sw:
         raise ValueError("target dims must be >= source dims")
     if (th, tw) == (sh, sw):
@@ -39,22 +39,27 @@ def upsample_bilinear(m: np.ndarray, target_dims) -> np.ndarray:
     fx, x0 = coords(tw, sw)
     y1 = np.minimum(y0 + 1, sh - 1)
     x1 = np.minimum(x0 + 1, sw - 1)
-    top = m[np.ix_(y0, x0)] * (1 - fx) + m[np.ix_(y0, x1)] * fx
-    bot = m[np.ix_(y1, x0)] * (1 - fx) + m[np.ix_(y1, x1)] * fx
+    rows0, rows1 = m[..., y0, :], m[..., y1, :]
+    top = rows0[..., x0] * (1 - fx) + rows0[..., x1] * fx
+    bot = rows1[..., x0] * (1 - fx) + rows1[..., x1] * fx
     return top * (1 - fy)[:, None] + bot * fy[:, None]
 
 
 def accumulate_map(run, gate: TemporalGate, target_dims) -> np.ndarray:
-    """M = (1/steps) * sum_t k(t) * Upsample(|delta_align(z_t)|)."""
+    """M = (1/steps) * sum_t k(t) * Upsample(|delta_align(z_t)|).
+
+    A run of (B, D) deltas gives B maps; they are summed one step at a
+    time, so no per-step upsampled stack is held.
+    """
     steps = list(zip(run.timesteps, run.delta_align))
     if not steps:
         raise ValueError("empty trajectory")
-    total = np.zeros((int(target_dims[0]), int(target_dims[1])))
+    total = 0.0
     for t, d in steps:
         mag = np.abs(np.asarray(d, dtype=np.float64))
-        side = int(round(np.sqrt(mag.size)))
-        mag = mag.reshape(side, side)
-        total += gate_dims(gate, int(t)) * upsample_bilinear(mag, target_dims)
+        side = int(round(np.sqrt(mag.shape[-1])))
+        mag = mag.reshape(mag.shape[:-1] + (side, side))
+        total = total + gate_dims(gate, int(t)) * upsample_bilinear(mag, target_dims)
     return total / len(steps)
 
 

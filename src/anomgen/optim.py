@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+
+class DivergenceError(RuntimeError):
+    """Raised when a training loss or gradient stops being finite."""
 
 
 class AdamState:
@@ -25,7 +27,8 @@ class AdamState:
 def adam_step(state: AdamState, params=None, grads=None):
     """Apply one Adam update; params default to the state's own list.
 
-    A non-finite gradient aborts before any parameter is touched.
+    A non-finite gradient raises DivergenceError before any parameter is
+    touched.
     """
     if params is None:
         params = state.params
@@ -37,7 +40,7 @@ def adam_step(state: AdamState, params=None, grads=None):
         if g.shape != p.data.shape:
             raise ValueError("gradient shape mismatch")
         if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient")
+            raise DivergenceError("non-finite gradient")
 
     state.step_count += 1
     t = state.step_count

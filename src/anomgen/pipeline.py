@@ -11,9 +11,8 @@ import os
 
 import numpy as np
 
-from . import dataset, localization, metrics, sampler, schedule as sched, trainer
-from .denoiser import (Denoiser, LoraStack, TemporalGate, load_adapters,
-                       load_reference, save_adapters, save_reference)
+from . import dataset, localization, metrics, sampler, schedule as sched, tensorio, trainer
+from .denoiser import load_adapters, load_reference, save_adapters, save_reference
 
 DESK_DEFAULTS = {
     "T": 1000,
@@ -87,49 +86,38 @@ def load_aligned(ref_ckpt, adapter_ckpt):
 
 def run_sample(ref_ckpt, adapter_ckpt, out_root, *, conditions, n_samples,
                guidance: sampler.GuidanceConfig, seed) -> None:
+    """All n_samples runs of a condition advance together as one batch."""
     model, adapters, gate, s = load_aligned(ref_ckpt, adapter_ckpt)
     for cname in conditions:
         token = dataset.token_from_name(cname)
-        for i in range(n_samples):
-            run = sampler.sample(model, adapters, gate, token, guidance, s,
-                                 seed=seed + 10_000 * token + i)
-            sampler.save_run(run, os.path.join(out_root, cname, f"run_{i:03d}"),
-                             decode=dataset.decode_latent)
-
-
-def localize_sample(model: Denoiser, adapters: LoraStack, gate: TemporalGate,
-                    s: sched.NoiseSchedule, image: np.ndarray, token: int,
-                    guidance: sampler.GuidanceConfig, seed: int) -> np.ndarray:
-    """Probability map for one existing image."""
-    z0 = dataset.encode_latent(image)
-    run = sampler.deviation_run(model, adapters, gate, z0, token, guidance, s, seed)
-    m = localization.accumulate_map(run, gate, image.shape)
-    return localization.normalize_and_smooth(m)
+        seeds = [seed + 10_000 * token + i for i in range(n_samples)]
+        run = sampler.sample(model, adapters, gate, token, guidance, s, seeds)
+        sampler.save_run(run, [os.path.join(out_root, cname, f"run_{i:03d}")
+                               for i in range(n_samples)], decode=dataset.decode_latent)
 
 
 def run_localize(ref_ckpt, adapter_ckpt, data_root, out_root, *,
                  guidance: sampler.GuidanceConfig, seed, split="eval") -> None:
+    """Probability maps for every image of a split, all run as one batch."""
     model, adapters, gate, s = load_aligned(ref_ckpt, adapter_ckpt)
-    data = dataset.load_dataset(data_root)
+    samples = dataset.load_dataset(data_root)[split]
     os.makedirs(out_root, exist_ok=True)
-    for sample_ in data[split]:
-        z0 = dataset.encode_latent(sample_.image)
-        run = sampler.deviation_run(model, adapters, gate, z0, sample_.token,
-                                    guidance, s, seed)
-        m = localization.accumulate_map(run, gate, sample_.image.shape)
+    if not samples:
+        return
+    z0 = np.stack([dataset.encode_latent(x.image) for x in samples])
+    run = sampler.deviation_run(model, adapters, gate, z0, [x.token for x in samples],
+                                guidance, s, seed)
+    maps = localization.accumulate_map(run, gate, samples[0].image.shape)
+    for sample_, m in zip(samples, maps):
         p = localization.normalize_and_smooth(m)
         base = os.path.join(out_root, sample_.sample_id)
         dataset.write_pgm(base + ".p.pgm", p)
-        from . import tensorio
-
         tensorio.save_tensor(base + ".p.f64", p)
         tensorio.save_tensor(base + ".m.f64", m)
 
 
 def run_eval(data_root, maps_root, out_csv, samples_root=None) -> list[dict]:
     """Per-condition localization metrics plus the diversity proxy."""
-    from . import tensorio
-
     data = dataset.load_dataset(data_root)
     rows = []
     for cat in dataset.CATEGORIES:

@@ -19,14 +19,6 @@ from .rng import seeded_gaussian, seeded_randint
 
 
 @dataclass(frozen=True)
-class DeviationSample:
-    delta: float
-    beta_t: float
-    t: int
-    condition: int
-
-
-@dataclass(frozen=True)
 class GaussianStep:
     """Equal-covariance step: target mean, reference mean, policy mean."""
 
@@ -36,23 +28,28 @@ class GaussianStep:
     var: float
 
 
-def alignment_deviation(eps_theta_hat, eps_ref_hat, eps) -> float:
-    """||eps_theta - eps||^2 - ||eps_ref - eps||^2; negative favors the policy."""
+def alignment_deviation(eps_theta_hat, eps_ref_hat, eps):
+    """||eps_theta - eps||^2 - ||eps_ref - eps||^2; negative favors the policy.
+
+    A float for one prediction (D,); one value per row for a batch (B, D).
+    """
     a = np.asarray(eps_theta_hat, dtype=np.float64)
     b = np.asarray(eps_ref_hat, dtype=np.float64)
     e = np.asarray(eps, dtype=np.float64)
     if a.shape != b.shape or a.shape != e.shape:
         raise ValueError("shape mismatch")
-    return float(np.sum((a - e) ** 2) - np.sum((b - e) ** 2))
+    out = np.sum((a - e) ** 2, axis=-1) - np.sum((b - e) ** 2, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def apo_loss(delta, beta_t: float):
     """-log sigmoid(-beta_t * delta), evaluated as softplus(beta_t * delta).
 
-    Accepts a float or an autodiff Tensor for delta; the softplus form
-    stays finite for any finite argument.
+    Accepts a float or an autodiff Tensor for delta; with a Tensor of
+    per-row deviations beta_t may hold one weight per row.  The softplus
+    form stays finite for any finite argument.
     """
-    if beta_t <= 0:
+    if np.any(np.asarray(beta_t) <= 0):
         raise ValueError("beta_t must be > 0")
     if isinstance(delta, Tensor):
         return (delta * beta_t).softplus()

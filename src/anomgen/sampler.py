@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import schedule as sched, tensorio
+from . import schedule as sched
+from .dataset import write_pgm
 from .denoiser import Denoiser, LoraStack, TemporalGate, predict_noise
 from .preference import posterior_means
 from .rng import seeded_gaussian
@@ -51,8 +52,12 @@ PUBLISHED_GUIDANCE = GuidanceConfig(s_text=6.5, s_align=3.0, steps=100, eta=0.0)
 
 @dataclass
 class SampleRun:
-    seed: int
-    token: int
+    """A batch of trajectories; row b of every recorded (B, D) array is one image.
+
+    latents holds the generated trajectory, initial noise first; deviation
+    runs of existing latents leave it empty.
+    """
+
     timesteps: list[int] = field(default_factory=list)
     latents: list[np.ndarray] = field(default_factory=list)
     delta_align: list[np.ndarray] = field(default_factory=list)
@@ -116,12 +121,20 @@ def visit_schedule(T: int, steps: int) -> list[int]:
 
 
 def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate | None,
-           c: int, guidance: GuidanceConfig, s: sched.NoiseSchedule, seed: int) -> SampleRun:
-    """Generate one latent from pure noise under hierarchical guidance."""
+           c: int, guidance: GuidanceConfig, s: sched.NoiseSchedule, seeds) -> SampleRun:
+    """Generate one latent per seed from pure noise under hierarchical guidance.
+
+    The runs share the condition and advance together: each visited step
+    makes one call per guidance branch over all rows, and row b draws its
+    noise from the keys of seeds[b] alone.
+    """
+    seeds = [int(x) for x in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    shape = (reference.latent_dim,)
     visits = visit_schedule(s.T, guidance.steps)
-    z = seeded_gaussian((reference.latent_dim,), seed, _S_INIT)
-    run = SampleRun(seed=seed, token=int(c))
-    run.latents.append(z.copy())
+    z = np.stack([seeded_gaussian(shape, seed, _S_INIT) for seed in seeds])
+    run = SampleRun(latents=[z])
     for i, t in enumerate(visits):
         e_hat, d_align = guided_eps(reference, adapters, gate, z, c, t, guidance)
         run.timesteps.append(t)
@@ -129,34 +142,35 @@ def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate |
         t_prev = visits[i + 1] if i + 1 < len(visits) else 0
         noise = None
         if guidance.eta > 0.0 and t_prev > 0:
-            noise = seeded_gaussian(z.shape, seed, _S_STEP_NOISE + i)
+            noise = np.stack([seeded_gaussian(shape, seed, _S_STEP_NOISE + i) for seed in seeds])
         z = ddim_step(s, z, e_hat, t, t_prev, guidance.eta, noise,
                       z0_clip=guidance.z0_clip)
-        run.latents.append(z.copy())
+        run.latents.append(z)
     return run
 
 
 def deviation_run(reference: Denoiser, adapters: LoraStack, gate: TemporalGate,
-                  z0: np.ndarray, c: int, guidance: GuidanceConfig,
+                  z0: np.ndarray, c, guidance: GuidanceConfig,
                   s: sched.NoiseSchedule, seed: int) -> SampleRun:
-    """Alignment-deviation trajectory for an existing latent.
+    """Alignment-deviation trajectories for existing latents z0 (B, D).
 
-    The latent is forward-noised to each visited level with fresh noise
-    and the policy/reference disagreement is recorded there; used to
-    localize anomalies in real images rather than generated ones.
+    Every row is forward-noised to each visited level with the same fresh
+    noise and the policy/reference disagreement is recorded there; c is
+    one token per row or one for all.  Used to localize anomalies in real
+    images rather than generated ones.
     """
     z0 = np.asarray(z0, dtype=np.float64)
+    if z0.ndim != 2:
+        raise ValueError("deviation_run takes a (B, D) batch of latents")
     visits = visit_schedule(s.T, guidance.steps)
-    run = SampleRun(seed=seed, token=int(c))
-    run.latents.append(z0.copy())
+    run = SampleRun()
     for i, t in enumerate(visits):
-        eps = seeded_gaussian(z0.shape, seed, _S_DEVIATION + i)
-        z_t = sched.forward_noise(s, z0, t, eps)
+        eps = seeded_gaussian(z0.shape[1:], seed, _S_DEVIATION + i)
+        z_t = sched.forward_noise(s, z0, t, np.broadcast_to(eps, z0.shape))
         e_cond = predict_noise(reference, None, z_t, c, t)
         e_policy = predict_noise(reference, adapters, z_t, c, t, gate=gate)
         run.timesteps.append(t)
         run.delta_align.append(e_policy - e_cond)
-        run.latents.append(z_t)
     return run
 
 
@@ -201,40 +215,17 @@ def guided_log_density_check(s: sched.NoiseSchedule, z_t: np.ndarray, z_prev: np
     return float(quad(z_prev) - quad(np.zeros_like(z_prev)))
 
 
-def save_run(run: SampleRun, outdir, decode=None) -> None:
-    """Persist a run: final image, raw trajectory tensors, per-step norms."""
-    os.makedirs(outdir, exist_ok=True)
-    if decode is not None:
-        from .dataset import write_pgm
-
-        write_pgm(os.path.join(outdir, "sample.pgm"), decode(run.final_latent))
-    with open(os.path.join(outdir, "trajectory.bin"), "wb") as fh:
-        for z in run.latents:
-            tensorio.write_tensor(fh, z)
-    with open(os.path.join(outdir, "delta_align.bin"), "wb") as fh:
-        for d in run.delta_align:
-            tensorio.write_tensor(fh, d)
-    with open(os.path.join(outdir, "delta_norms.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "delta_align_l2"])
-        for t, d in zip(run.timesteps, run.delta_align):
-            w.writerow([t, float(np.linalg.norm(d))])
-
-
-def _read_all_tensors(path) -> list[np.ndarray]:
-    out = []
-    with open(path, "rb") as fh:
-        while fh.peek(1):
-            out.append(tensorio.read_tensor(fh))
-    return out
-
-
-def load_run(outdir, seed: int = 0, token: int = 0) -> SampleRun:
-    run = SampleRun(seed=seed, token=token)
-    run.latents = _read_all_tensors(os.path.join(outdir, "trajectory.bin"))
-    run.delta_align = _read_all_tensors(os.path.join(outdir, "delta_align.bin"))
-    with open(os.path.join(outdir, "delta_norms.csv")) as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        run.timesteps = [int(row[0]) for row in rd]
-    return run
+def save_run(run: SampleRun, outdirs, decode=None) -> None:
+    """Persist row b of a run to outdirs[b]: final image and per-step delta norms."""
+    outdirs = list(outdirs)
+    if len(outdirs) != len(run.final_latent):
+        raise ValueError("need one output directory per run")
+    for b, outdir in enumerate(outdirs):
+        os.makedirs(outdir, exist_ok=True)
+        if decode is not None:
+            write_pgm(os.path.join(outdir, "sample.pgm"), decode(run.final_latent[b]))
+        with open(os.path.join(outdir, "delta_norms.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t", "delta_align_l2"])
+            for t, d in zip(run.timesteps, run.delta_align):
+                w.writerow([t, float(np.linalg.norm(d[b]))])

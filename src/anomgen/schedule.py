@@ -51,14 +51,18 @@ def build_schedule(T: int, kind: str = "linear") -> NoiseSchedule:
     return NoiseSchedule(T=int(T), kind=kind, alpha=alpha, sigma=sigma, lam=lam)
 
 
-def forward_noise(s: NoiseSchedule, z0: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """z_t = alpha_t * z0 + sigma_t * eps."""
+def forward_noise(s: NoiseSchedule, z0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
+    """z_t = alpha_t * z0 + sigma_t * eps; t is one level, or one per row of a (B, D) z0."""
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if z0.shape != eps.shape:
         raise ValueError("z0/eps shape mismatch")
+    t = np.asarray(t)
     _check_t(s, t, low=0)
-    return s.alpha[t] * z0 + s.sigma[t] * eps
+    alpha, sigma = s.alpha[t], s.sigma[t]
+    if t.ndim:
+        alpha, sigma = alpha[:, None], sigma[:, None]
+    return alpha * z0 + sigma * eps
 
 
 def log_snr_slope(s: NoiseSchedule, t: int) -> float:
@@ -122,6 +126,6 @@ def schedule_table(s: NoiseSchedule, beta: float = 1000.0):
     return rows
 
 
-def _check_t(s: NoiseSchedule, t: int, low: int) -> None:
-    if not (low <= t <= s.T):
+def _check_t(s: NoiseSchedule, t, low: int) -> None:
+    if np.any(np.asarray(t) < low) or np.any(np.asarray(t) > s.T):
         raise ValueError(f"timestep {t} outside [{low}, {s.T}]")

@@ -19,12 +19,21 @@ def write_tensor(fh, arr: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
+def unpack(fh, fmt: str) -> tuple:
+    """struct.unpack of the next bytes; a short read raises ValueError."""
+    size = struct.calcsize(fmt)
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError("truncated header")
+    return struct.unpack(fmt, buf)
+
+
 def read_tensor(fh) -> np.ndarray:
     magic = fh.read(4)
     if magic != MAGIC:
         raise ValueError(f"bad tensor magic: {magic!r}")
-    (rank,) = struct.unpack("<I", fh.read(4))
-    shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
+    (rank,) = unpack(fh, "<I")
+    shape = unpack(fh, f"<{rank}Q")
     n = int(np.prod(shape)) if shape else 1
     buf = fh.read(8 * n)
     if len(buf) != 8 * n:

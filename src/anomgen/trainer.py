@@ -4,7 +4,8 @@ Pretraining fits the denoiser to normal textures with the plain noise
 prediction loss, dropping the condition to the null token with a small
 probability so the unconditional branch used at sampling time exists.
 Alignment freezes those weights and trains only the gated low-rank
-adapters with the preference loss, one (sample, t, eps) triple per step.
+adapters with the preference loss, one (sample, t, eps) triple per batch
+row.  Each step runs the whole batch through one forward and one backward.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import preference, schedule as sched
 from .autodiff import Tensor, backward, zero_grads
 from .denoiser import Denoiser, LoraStack, TemporalGate, predict_noise
-from .optim import Adam
+from .optim import Adam, DivergenceError
 from .rng import seeded_gaussian, seeded_randint, seeded_uniform
 
 # counter-stream layout (bases; per-step offsets added)
@@ -25,10 +26,6 @@ _S_IDX, _S_T, _S_TOK, _S_DROP = 301, 302, 303, 304
 _PRETRAIN_NOISE = 1_000_000
 _ALIGN_NOISE = 2_000_000
 _EVAL_NOISE = 3_000_000
-
-
-class DivergenceError(RuntimeError):
-    """Raised when a training loss stops being finite."""
 
 
 @dataclass
@@ -90,37 +87,43 @@ def pretrain_reference(normal_set, config: TrainConfig, s: sched.NoiseSchedule,
     tok_u = seeded_uniform((max(n_draws, 1),), config.seed, _S_TOK)
     drop = seeded_uniform((max(n_draws, 1),), config.seed, _S_DROP) < config.condition_dropout
 
+    bs = config.batch_size
     for step in range(config.steps):
-        losses = []
-        t_first = None
-        for b in range(config.batch_size):
-            d = step * config.batch_size + b
-            z0, tokens = normal_set[idx[d]]
-            token = 0 if drop[d] else tokens[min(int(tok_u[d] * len(tokens)), len(tokens) - 1)]
-            t = int(ts[d])
-            t_first = t if t_first is None else t_first
-            eps = seeded_gaussian(np.shape(z0), config.seed, _PRETRAIN_NOISE + d)
-            z_t = sched.forward_noise(s, np.asarray(z0, dtype=np.float64), t, eps)
-            eps_hat = model.forward(z_t, token, t)
-            losses.append(preference.sd_loss(eps_hat, eps))
-        loss = losses[0] if len(losses) == 1 else _mean_scalars(losses)
+        draws = range(step * bs, (step + 1) * bs)
+        t, eps, z_t = _noised_batch(normal_set, idx, ts, draws, s, config.seed, _PRETRAIN_NOISE)
+        tokens = [0 if drop[d] else _pick(normal_set[idx[d]][1], tok_u[d]) for d in draws]
+        loss = preference.sd_loss(model.forward(z_t, tokens, t), eps)
         val = float(loss.data)
         if not np.isfinite(val):
             raise DivergenceError(f"diverged at pretrain step {step}")
         backward(loss)
         opt.step()
         zero_grads(model.params)
-        log.add(step=step, t=t_first, delta=None, beta_t=None, loss=val, pref_prob=None)
+        log.add(step=step, t=int(t[0]), delta=None, beta_t=None, loss=val, pref_prob=None)
     return model, log
+
+
+def _pick(tokens, u: float) -> int:
+    """The candidate token a uniform draw u in [0, 1) selects."""
+    return tokens[min(int(u * len(tokens)), len(tokens) - 1)]
+
+
+def _noised_batch(items, idx, ts, draws, s: sched.NoiseSchedule, seed: int, stream: int):
+    """(t, eps, z_t) for draws d: latent items[idx[d]][0] at level ts[d], noise key stream + d."""
+    z0 = np.stack([np.asarray(items[idx[d]][0], dtype=np.float64) for d in draws])
+    eps = np.stack([seeded_gaussian(z0.shape[1:], seed, stream + d) for d in draws])
+    t = ts[draws.start:draws.stop]
+    return t, eps, sched.forward_noise(s, z0, t, eps)
 
 
 def align(reference: Denoiser, anomaly_set, config: TrainConfig,
           s: sched.NoiseSchedule) -> tuple[LoraStack, TemporalGate, TrainLog]:
     """Preference alignment: adapters only, reference frozen.
 
-    Each step follows the sampled-triple recipe exactly: draw
+    Each step follows the sampled-triple recipe for every batch row: draw
     (sample, t, eps), noise the latent, score both networks, convert the
-    squared-error gap into the weighted preference loss, update.
+    squared-error gap into the weighted preference loss; then update on
+    the batch mean.
     """
     anomaly_set = list(anomaly_set)
     if not anomaly_set:
@@ -135,33 +138,27 @@ def align(reference: Denoiser, anomaly_set, config: TrainConfig,
     idx = seeded_randint(len(anomaly_set), (max(n_draws, 1),), config.seed, _S_IDX)
     ts = 1 + seeded_randint(s.T, (max(n_draws, 1),), config.seed, _S_T)
 
+    bs = config.batch_size
     for step in range(config.steps):
-        loss_terms = []
-        rec = None
-        for b in range(config.batch_size):
-            d = step * config.batch_size + b
-            z0, token = anomaly_set[idx[d]]
-            t = int(ts[d])
-            eps = seeded_gaussian(np.shape(z0), config.seed, _ALIGN_NOISE + d)
-            z_t = sched.forward_noise(s, np.asarray(z0, dtype=np.float64), t, eps)
-            eps_ref = predict_noise(reference, None, z_t, token, t)
-            eps_th = reference.forward(z_t, token, t, adapters=adapters, gate=gate)
-            diff = eps_th - Tensor(eps)
-            delta = (diff * diff).sum() + (-float(np.sum((eps_ref - eps) ** 2)))
-            beta_t = sched.beta_weight(s, config.beta, t)
-            loss_terms.append(preference.apo_loss(delta, beta_t))
-            if rec is None:
-                dval = float(delta.data)
-                rec = dict(t=t, delta=dval, beta_t=beta_t,
-                           pref_prob=preference.bt_preference_prob(dval, beta_t))
-        loss = loss_terms[0] if len(loss_terms) == 1 else _mean_scalars(loss_terms)
+        draws = range(step * bs, (step + 1) * bs)
+        t, eps, z_t = _noised_batch(anomaly_set, idx, ts, draws, s, config.seed, _ALIGN_NOISE)
+        tokens = [anomaly_set[idx[d]][1] for d in draws]
+        eps_ref = predict_noise(reference, None, z_t, tokens, t)
+        eps_th = reference.forward(z_t, tokens, t, adapters=adapters, gate=gate)
+        diff = eps_th - Tensor(eps)
+        # per-row squared error as a product with ones: the graph needs no row sum
+        delta = (diff * diff) @ np.ones(eps.shape[1]) - np.sum((eps_ref - eps) ** 2, axis=1)
+        beta_t = np.array([sched.beta_weight(s, config.beta, int(ti)) for ti in t])
+        loss = preference.apo_loss(delta, beta_t).mean()
         val = float(loss.data)
         if not np.isfinite(val):
             raise DivergenceError(f"diverged at align step {step}")
         backward(loss)
         opt.step()
         zero_grads(adapters.params)
-        log.add(step=step, loss=val, **rec)
+        d0, b0 = float(delta.data[0]), float(beta_t[0])
+        log.add(step=step, t=int(t[0]), delta=d0, beta_t=b0, loss=val,
+                pref_prob=preference.bt_preference_prob(d0, b0))
     return adapters, gate, log
 
 
@@ -171,17 +168,15 @@ def evaluate_mean_delta(reference: Denoiser, adapters: LoraStack, gate: Temporal
     """Mean alignment deviation over the training set with frozen eval draws."""
     anomaly_set = list(anomaly_set)
     ts = 1 + seeded_randint(s.T, (len(anomaly_set), n_draws_per_sample), seed, _S_T + 50)
+    idx = np.repeat(np.arange(len(anomaly_set)), n_draws_per_sample)
     deltas = []
-    for i, (z0, token) in enumerate(anomaly_set):
-        z0 = np.asarray(z0, dtype=np.float64)
-        for k in range(n_draws_per_sample):
-            t = int(ts[i, k])
-            eps = seeded_gaussian(z0.shape, seed, _EVAL_NOISE + i * n_draws_per_sample + k)
-            z_t = sched.forward_noise(s, z0, t, eps)
-            eps_ref = predict_noise(reference, None, z_t, token, t)
-            eps_th = predict_noise(reference, adapters, z_t, token, t, gate=gate)
-            deltas.append(preference.alignment_deviation(eps_th, eps_ref, eps))
-    return float(np.mean(deltas))
+    for i, (_, token) in enumerate(anomaly_set):
+        draws = range(i * n_draws_per_sample, (i + 1) * n_draws_per_sample)
+        t, eps, z_t = _noised_batch(anomaly_set, idx, ts.ravel(), draws, s, seed, _EVAL_NOISE)
+        eps_ref = predict_noise(reference, None, z_t, token, t)
+        eps_th = predict_noise(reference, adapters, z_t, token, t, gate=gate)
+        deltas.append(preference.alignment_deviation(eps_th, eps_ref, eps))
+    return float(np.mean(np.concatenate(deltas)))
 
 
 def beta_sweep(reference: Denoiser, anomaly_set, config: TrainConfig, betas,
@@ -199,10 +194,3 @@ def beta_sweep(reference: Denoiser, anomaly_set, config: TrainConfig, betas,
                      "final_loss": float(tail.mean()) if tail.size else float("nan"),
                      "log": log})
     return rows
-
-
-def _mean_scalars(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))

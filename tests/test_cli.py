@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from anomgen import cli
+from anomgen.autodiff import Tensor
+from anomgen.optim import AdamState, adam_step
 from anomgen.trainer import DivergenceError
 
 
@@ -204,3 +206,56 @@ def test_beta_sweep_command(toy_stack, tmp_path):
     assert len(lines) == 3
     assert (out / "align_log_beta500.csv").exists()
     assert (out / "align_log_beta1000.csv").exists()
+
+
+# -- documented exit codes for bad inputs ---------------------------------------
+
+
+def _truncated_checkpoint(stack, tmp, monkeypatch):
+    ckpt = tmp / "short.ckpt"
+    ckpt.write_bytes((stack["pre"] / "reference.ckpt").read_bytes()[:30])
+    return ["align", "--data", str(stack["data"]), "--ref", str(ckpt)]
+
+
+def _string_typed_config(stack, tmp, monkeypatch):
+    cfile = tmp / "c.json"
+    cfile.write_text(json.dumps({"command": "pretrain", "data": str(stack["data"]),
+                                 "steps": "5"}))
+    return ["pretrain", "--config", str(cfile)]
+
+
+def _unknown_condition(stack, tmp, monkeypatch):
+    return ["sample", "--ref", str(stack["pre"] / "reference.ckpt"),
+            "--adapters", str(stack["al"] / "adapters.ckpt"), "--condition", "bogus_x"]
+
+
+def _no_sample_runs(stack, tmp, monkeypatch):
+    return _unknown_condition(stack, tmp, monkeypatch)[:-2] + ["--n", "0"]
+
+
+def _non_finite_gradient(stack, tmp, monkeypatch):
+    monkeypatch.setattr(cli.pipeline.trainer, "pretrain_reference", _nan_adam_step)
+    return ["pretrain", "--data", str(stack["data"]), "--steps", "1"]
+
+
+def _nan_adam_step(*a, **kw):
+    p = Tensor(np.zeros(2), requires_grad=True)
+    adam_step(AdamState([p], learning_rate=0.1), grads=[np.array([np.nan, 0.0])])
+
+
+@pytest.mark.parametrize("case, code, message", [
+    (_truncated_checkpoint, cli.EXIT_BAD_CONFIG, "truncated"),
+    (_string_typed_config, cli.EXIT_BAD_CONFIG, "steps='5' is not of type int"),
+    (_unknown_condition, cli.EXIT_BAD_CONFIG, "valid: all, stripes_scratch"),
+    (_no_sample_runs, cli.EXIT_BAD_CONFIG, "n must be >= 1"),
+    (_non_finite_gradient, cli.EXIT_DIVERGED, "non-finite gradient"),
+])
+def test_failures_exit_with_documented_code(toy_stack, tmp_path, capsys, monkeypatch,
+                                            case, code, message):
+    out = tmp_path / "out"
+    assert cli.main(case(toy_stack, tmp_path, monkeypatch) + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    if case in (_unknown_condition, _no_sample_runs):
+        assert not out.exists()

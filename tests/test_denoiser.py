@@ -165,6 +165,81 @@ def test_adapter_gradients_match_finite_differences(tiny_model, tiny_adapters):
         assert abs(fd - an) / max(abs(fd), abs(an), 1e-10) < 1e-4
 
 
+def _warm(adapters, seed=5, scale=0.3):
+    for layer in range(len(adapters.B)):
+        adapters.B[layer].data = seeded_gaussian(adapters.B[layer].data.shape, seed, layer) * scale
+    return adapters
+
+
+@pytest.mark.parametrize("adapted", [False, True])
+def test_batch_forward_matches_single_rows(tiny_model, tiny_adapters, adapted):
+    adapters, gate = tiny_adapters
+    adapters = _warm(adapters) if adapted else None
+    z = seeded_gaussian((5, 4), 21, 0)
+    tokens = [0, 2, 1, 1, 0]
+    ts = [1, 50, 17, 0, 33]
+    batch = predict_noise(tiny_model, adapters, z, tokens, ts, gate=gate)
+    assert batch.shape == (5, 4)
+    for row in range(5):
+        single = predict_noise(tiny_model, adapters, z[row], tokens[row], ts[row], gate=gate)
+        assert single.shape == (4,)
+        assert np.max(np.abs(batch[row] - single)) <= 1e-12
+
+
+def test_shared_token_and_timestep_broadcast(tiny_model, tiny_adapters):
+    adapters, gate = tiny_adapters
+    _warm(adapters)
+    z = seeded_gaussian((3, 4), 22, 0)
+    shared = predict_noise(tiny_model, adapters, z, 2, 9, gate=gate)
+    per_row = predict_noise(tiny_model, adapters, z, [2, 2, 2], [9, 9, 9], gate=gate)
+    assert np.array_equal(shared, per_row)
+    with pytest.raises(ValueError, match="per latent row"):
+        tiny_model.forward(z, [1, 2], 9)
+    with pytest.raises(ValueError, match="per latent row"):
+        tiny_model.forward(z, 1, [9, 9])
+
+
+def test_unmerged_forward_matches_merged_weights(tiny_model, tiny_adapters):
+    adapters, gate = tiny_adapters
+    _warm(adapters)
+    z = seeded_gaussian((4,), 23, 0)
+    for t in (0, 12, 37, 50):
+        merged = Denoiser(latent_dim=4, hidden=8, n_tokens=3, seed=0)
+        for layer, w in enumerate(merged.weights):
+            w.data = w.data + effective_delta(adapters, gate, t, layer=layer)
+        expect = predict_noise(merged, None, z, 1, t)
+        got = predict_noise(tiny_model, adapters, z, 1, t, gate=gate)
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
+
+def test_masked_directions_zero_gradient_in_mixed_t_batch(tiny_model, tiny_adapters):
+    adapters, gate = tiny_adapters  # k(t) = 1 + floor(3 (50 - t) / 50)
+    _warm(adapters)
+    tiny_model.set_trainable(False)
+    ts = [50, 40, 30]
+    z = seeded_gaussian((3, 4), 24, 0)
+    grads = backward(tiny_model.forward(z, [1, 2, 1], ts, adapters=adapters, gate=gate).sum())
+    widest = max(gate_dims(gate, t) for t in ts)
+    assert widest == 2
+    for layer in range(4):
+        ga, gb = grads[adapters.A[layer]], grads[adapters.B[layer]]
+        assert np.all(ga[widest:] == 0.0) and np.all(gb[:, widest:] == 0.0)
+        assert np.any(ga[:widest] != 0.0) and np.any(gb[:, :widest] != 0.0)
+
+
+def test_loaded_checkpoints_are_frozen(tmp_path, tiny_model, tiny_adapters):
+    adapters, gate = tiny_adapters
+    _warm(adapters)
+    save_reference(tmp_path / "ref.ckpt", tiny_model, "linear", 50)
+    save_adapters(tmp_path / "ad.ckpt", adapters, gate, "linear", 50, tiny_model)
+    model, _, _ = load_reference(tmp_path / "ref.ckpt")
+    loaded, lgate, _, _ = load_adapters(tmp_path / "ad.ckpt", model)
+    assert not any(p.requires_grad for p in model.params + loaded.params)
+    z = seeded_gaussian((2, 4), 25, 0)
+    assert model.forward(z, 1, 7)._parents == ()
+    assert model.forward(z, 1, 7, adapters=loaded, gate=lgate)._parents == ()
+
+
 def test_reference_weights_not_leaves_when_frozen(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
     tiny_model.set_trainable(False)
@@ -208,6 +283,15 @@ def test_checkpoint_role_mismatch(tmp_path, tiny_model, tiny_adapters):
         load_reference(ad_path)
     with pytest.raises(ValueError, match="adapter"):
         load_adapters(ref_path, tiny_model)
+
+
+@pytest.mark.parametrize("keep", [0, 4, 9, 30, 33, 36, 45])
+def test_truncated_checkpoint_rejected(tmp_path, tiny_model, keep):
+    path = tmp_path / "ref.ckpt"
+    save_reference(path, tiny_model, "linear", 50)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="magic|truncated"):
+        load_reference(path)
 
 
 def test_checkpoint_bad_magic(tmp_path, tiny_model):

@@ -67,7 +67,7 @@ def test_upsample_downsample_error():
 
 
 def _run_with(timesteps, deltas):
-    r = SampleRun(seed=0, token=1)
+    r = SampleRun()
     r.timesteps = list(timesteps)
     r.delta_align = [np.asarray(d, dtype=np.float64) for d in deltas]
     return r

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anomgen.autodiff import Tensor, backward, zero_grads
-from anomgen.optim import Adam, AdamState, adam_step
+from anomgen.optim import Adam, AdamState, DivergenceError, adam_step
 
 
 def test_zero_gradient_no_change():
@@ -35,7 +35,7 @@ def test_non_finite_gradient_rejected_without_update():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     state = AdamState([p], learning_rate=0.1)
     before = p.data.copy()
-    with pytest.raises(ValueError, match="non-finite gradient"):
+    with pytest.raises(DivergenceError, match="non-finite gradient"):
         adam_step(state, grads=[np.array([np.nan, 0.0])])
     assert np.array_equal(p.data, before)
     assert state.step_count == 0

@@ -76,6 +76,56 @@ def test_pretrain_empty_dataset(sched_tiny):
         pretrain_reference([], cfg, sched_tiny)
 
 
+def test_pretrain_batch_loss_matches_single_row_oracle(sched_tiny):
+    # the first logged loss, recomputed one sample at a time from the same RNG keys
+    cfg = TrainConfig(steps=1, learning_rate=1e-3, seed=4, batch_size=6,
+                      condition_dropout=0.3)
+    data = _normal_set()
+    _, log = pretrain_reference(data, cfg, sched_tiny)
+    model = Denoiser(latent_dim=4, seed=4)
+    idx = trainer.seeded_randint(len(data), (6,), 4, trainer._S_IDX)
+    ts = 1 + trainer.seeded_randint(sched_tiny.T, (6,), 4, trainer._S_T)
+    tok_u = trainer.seeded_uniform((6,), 4, trainer._S_TOK)
+    drop = trainer.seeded_uniform((6,), 4, trainer._S_DROP) < 0.3
+    losses = []
+    for d in range(6):
+        z0, tokens = data[idx[d]]
+        token = 0 if drop[d] else tokens[min(int(tok_u[d] * len(tokens)), len(tokens) - 1)]
+        eps = seeded_gaussian((4,), 4, trainer._PRETRAIN_NOISE + d)
+        z_t = sched.forward_noise(sched_tiny, z0, int(ts[d]), eps)
+        losses.append(np.mean((predict_noise(model, None, z_t, token, int(ts[d])) - eps) ** 2))
+    assert abs(log.records[0]["loss"] - np.mean(losses)) <= 1e-12
+    assert log.records[0]["t"] == ts[0]
+
+
+def test_evaluate_mean_delta_matches_per_draw_oracle(sched_tiny):
+    model, cfg = _ref(sched_tiny)
+    adapters, gate, _ = align(model, _anomaly_set(), cfg, sched_tiny)
+    got = evaluate_mean_delta(model, adapters, gate, _anomaly_set(), sched_tiny, 2,
+                              n_draws_per_sample=5)
+    ts = 1 + trainer.seeded_randint(sched_tiny.T, (3, 5), 2, trainer._S_T + 50)
+    deltas = []
+    for i, (z0, token) in enumerate(_anomaly_set()):
+        for k in range(5):
+            t = int(ts[i, k])
+            eps = seeded_gaussian((4,), 2, trainer._EVAL_NOISE + i * 5 + k)
+            z_t = sched.forward_noise(sched_tiny, z0, t, eps)
+            e_th = predict_noise(model, adapters, z_t, token, t, gate=gate)
+            e_ref = predict_noise(model, None, z_t, token, t)
+            deltas.append(np.sum((e_th - eps) ** 2) - np.sum((e_ref - eps) ** 2))
+    assert got != 0.0
+    assert abs(got - np.mean(deltas)) <= 1e-12
+
+
+def test_align_batch_first_loss_is_ln2(sched_tiny):
+    # with B = 0 every row's deviation is zero, so the batch mean is ln 2
+    model, _ = _ref(sched_tiny)
+    cfg = TrainConfig(steps=1, learning_rate=1e-3, seed=0, k_min=1, k_max=4, batch_size=3)
+    _, _, log = align(model, _anomaly_set(), cfg, sched_tiny)
+    assert abs(log.records[0]["loss"] - np.log(2.0)) < 1e-12
+    assert abs(log.records[0]["delta"]) < 1e-12
+
+
 # -- alignment -----------------------------------------------------------------
 
 
