@@ -9,8 +9,8 @@ class DivergenceError(RuntimeError):
     """Raised when a training loss or gradient stops being finite."""
 
 
-class AdamState:
-    """First/second moment accumulators, one pair per parameter."""
+class Adam:
+    """First/second moment accumulators, one pair per parameter, and the step count."""
 
     def __init__(self, params, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -23,15 +23,17 @@ class AdamState:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
+    def step(self):
+        adam_step(self)
 
-def adam_step(state: AdamState, params=None, grads=None):
-    """Apply one Adam update; params default to the state's own list.
+
+def adam_step(opt: Adam, grads=None) -> None:
+    """Apply one Adam update to opt.params; grads default to the leaves' own.
 
     A non-finite gradient raises DivergenceError before any parameter is
     touched.
     """
-    if params is None:
-        params = state.params
+    params = opt.params
     if grads is None:
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
     if len(params) != len(grads):
@@ -42,27 +44,12 @@ def adam_step(state: AdamState, params=None, grads=None):
         if not np.all(np.isfinite(g)):
             raise DivergenceError("non-finite gradient")
 
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    opt.step_count += 1
+    t = opt.step_count
+    b1, b2 = opt.beta1, opt.beta2
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params
-
-
-class Adam:
-    """Thin object wrapper used by the training loops."""
-
-    def __init__(self, params, learning_rate: float, **kw):
-        self.state = AdamState(params, learning_rate, **kw)
-
-    def step(self):
-        adam_step(self.state)
-
-    def zero_grad(self):
-        for p in self.state.params:
-            p.grad = None
+        opt.m[i] = b1 * opt.m[i] + (1.0 - b1) * g
+        opt.v[i] = b2 * opt.v[i] + (1.0 - b2) * g * g
+        m_hat = opt.m[i] / (1.0 - b1**t)
+        v_hat = opt.v[i] / (1.0 - b2**t)
+        p.data = p.data - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)

@@ -1,7 +1,10 @@
 """End-to-end pipeline stages shared by the CLI and the acceptance suite.
 
-Each stage reads/writes only the documented on-disk artifacts so that a
-stage can be rerun in isolation from its recorded configuration.
+Each run_<command> takes the resolved configuration of its CLI command,
+keyed as run.json records it, and writes all of the stage's outputs under
+cfg["out"], so a stage can be rerun in isolation from its run.json.  The
+CLI writes run.json only after the stage returns, so a failed stage may
+leave partial outputs but never a run that looks complete.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ DESK_DEFAULTS = {
     "n_samples": 16,
 }
 
-
 def normal_training_set(data: dict) -> list:
     """(latent, candidate tokens) pairs for pretraining."""
     return [(dataset.encode_latent(s.image), dataset.category_tokens(s.category))
@@ -51,29 +53,58 @@ def anomaly_training_set(data: dict, split: str = "reference") -> list:
     return [(dataset.encode_latent(s.image), s.token) for s in data[split]]
 
 
-def run_pretrain(data_root, out_ckpt, *, T, kind, steps, learning_rate,
-                 condition_dropout, seed,
-                 batch_size=DESK_DEFAULTS["pretrain_batch"]) -> trainer.TrainLog:
-    data = dataset.load_dataset(data_root)
-    s = sched.build_schedule(T, kind)
-    cfg = trainer.TrainConfig(steps=steps, learning_rate=learning_rate, seed=seed,
-                              condition_dropout=condition_dropout,
-                              batch_size=batch_size)
-    model, log = trainer.pretrain_reference(normal_training_set(data), cfg, s)
-    save_reference(out_ckpt, model, kind, T)
-    return log
+def _write_csv(path, header, rows) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def run_align(data_root, ref_ckpt, out_ckpt, *, steps, learning_rate, beta,
-              k_min, k_max, seed) -> trainer.TrainLog:
-    data = dataset.load_dataset(data_root)
-    model, kind, T = load_reference(ref_ckpt)
-    s = sched.build_schedule(T, kind)
-    cfg = trainer.TrainConfig(steps=steps, learning_rate=learning_rate, beta=beta,
-                              seed=seed, k_min=k_min, k_max=k_max)
-    adapters, gate, log = trainer.align(model, anomaly_training_set(data), cfg, s)
-    save_adapters(out_ckpt, adapters, gate, kind, T, model)
-    return log
+def run_gen_data(cfg: dict) -> None:
+    dataset.generate_dataset(cfg["out"], cfg["seed"], cfg["n_normal"], cfg["n_anomaly"],
+                             cfg["fraction"])
+
+
+def run_pretrain(cfg: dict) -> None:
+    data = dataset.load_dataset(cfg["data"])
+    s = sched.build_schedule(cfg["t_steps"], cfg["kind"])
+    tc = trainer.TrainConfig(steps=cfg["steps"], learning_rate=cfg["lr"], seed=cfg["seed"],
+                             condition_dropout=cfg["dropout"], batch_size=cfg["batch"])
+    model, log = trainer.pretrain_reference(normal_training_set(data), tc, s)
+    os.makedirs(cfg["out"], exist_ok=True)
+    save_reference(os.path.join(cfg["out"], "reference.ckpt"), model, cfg["kind"], cfg["t_steps"])
+    log.save_csv(os.path.join(cfg["out"], "train_log.csv"))
+
+
+def _align_config(cfg: dict, **kw) -> trainer.TrainConfig:
+    return trainer.TrainConfig(steps=cfg["steps"], learning_rate=cfg["lr"], seed=cfg["seed"],
+                               k_min=cfg["kmin"], k_max=cfg["kmax"], **kw)
+
+
+def run_align(cfg: dict) -> None:
+    data = dataset.load_dataset(cfg["data"])
+    model, kind, T = load_reference(cfg["ref"])
+    adapters, gate, log = trainer.align(model, anomaly_training_set(data),
+                                        _align_config(cfg, beta=cfg["beta"]),
+                                        sched.build_schedule(T, kind))
+    os.makedirs(cfg["out"], exist_ok=True)
+    save_adapters(os.path.join(cfg["out"], "adapters.ckpt"), adapters, gate, kind, T, model)
+    log.save_csv(os.path.join(cfg["out"], "train_log.csv"))
+
+
+def run_beta_sweep(cfg: dict) -> None:
+    """Alignment once per beta with a shared seed; a summary row plus a log per beta."""
+    data = dataset.load_dataset(cfg["data"])
+    model, kind, T = load_reference(cfg["ref"])
+    betas = [float(b) for b in cfg["betas"].split(",") if b]
+    rows = trainer.beta_sweep(model, anomaly_training_set(data), _align_config(cfg), betas,
+                              sched.build_schedule(T, kind))
+    _write_csv(os.path.join(cfg["out"], "beta_sweep.csv"),
+               ["beta", "final_mean_delta", "final_loss"],
+               [[r["beta"], r["final_mean_delta"], r["final_loss"]] for r in rows])
+    for r in rows:
+        r["log"].save_csv(os.path.join(cfg["out"], f"align_log_beta{int(r['beta'])}.csv"))
 
 
 def load_aligned(ref_ckpt, adapter_ckpt):
@@ -84,41 +115,50 @@ def load_aligned(ref_ckpt, adapter_ckpt):
     return model, adapters, gate, sched.build_schedule(T, kind)
 
 
-def run_sample(ref_ckpt, adapter_ckpt, out_root, *, conditions, n_samples,
-               guidance: sampler.GuidanceConfig, seed) -> None:
-    """All n_samples runs of a condition advance together as one batch."""
-    model, adapters, gate, s = load_aligned(ref_ckpt, adapter_ckpt)
-    for cname in conditions:
+def run_sample(cfg: dict) -> None:
+    """All n runs of a condition advance together as one batch."""
+    valid = [f"{c}_{d}" for c in dataset.CATEGORIES for d in dataset.DEFECTS]
+    name, n = cfg["condition"], cfg["n"]
+    if name != "all" and name not in valid:
+        raise ValueError(f"unknown condition {name!r}; valid: all, {', '.join(valid)}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    guidance = sampler.GuidanceConfig(s_text=cfg["s_text"], s_align=cfg["s_align"],
+                                      steps=cfg["steps"], eta=cfg["eta"], z0_clip=cfg["clip"])
+    model, adapters, gate, s = load_aligned(cfg["ref"], cfg["adapters"])
+    for cname in valid if name == "all" else [name]:
         token = dataset.token_from_name(cname)
-        seeds = [seed + 10_000 * token + i for i in range(n_samples)]
+        seeds = [cfg["seed"] + 10_000 * token + i for i in range(n)]
         run = sampler.sample(model, adapters, gate, token, guidance, s, seeds)
-        sampler.save_run(run, [os.path.join(out_root, cname, f"run_{i:03d}")
-                               for i in range(n_samples)], decode=dataset.decode_latent)
+        sampler.save_run(run, [os.path.join(cfg["out"], cname, f"run_{i:03d}")
+                               for i in range(n)], decode=dataset.decode_latent)
 
 
-def run_localize(ref_ckpt, adapter_ckpt, data_root, out_root, *,
-                 guidance: sampler.GuidanceConfig, seed, split="eval") -> None:
+def run_localize(cfg: dict) -> None:
     """Probability maps for every image of a split, all run as one batch."""
-    model, adapters, gate, s = load_aligned(ref_ckpt, adapter_ckpt)
-    samples = dataset.load_dataset(data_root)[split]
-    os.makedirs(out_root, exist_ok=True)
-    if not samples:
-        return
-    z0 = np.stack([dataset.encode_latent(x.image) for x in samples])
-    run = sampler.deviation_run(model, adapters, gate, z0, [x.token for x in samples],
-                                guidance, s, seed)
-    maps = localization.accumulate_map(run, gate, samples[0].image.shape)
+    data = dataset.load_dataset(cfg["data"])
+    if cfg["split"] not in data:
+        raise ValueError(f"unknown split {cfg['split']!r}; valid: {', '.join(data)}")
+    samples = data[cfg["split"]]
+    model, adapters, gate, s = load_aligned(cfg["ref"], cfg["adapters"])
+    maps = []
+    if samples:
+        z0 = np.stack([dataset.encode_latent(x.image) for x in samples])
+        run = sampler.deviation_run(model, adapters, gate, z0, [x.token for x in samples],
+                                    cfg["steps"], s, cfg["seed"])
+        maps = localization.accumulate_map(run, gate, samples[0].image.shape)
+    os.makedirs(cfg["out"], exist_ok=True)
     for sample_, m in zip(samples, maps):
         p = localization.normalize_and_smooth(m)
-        base = os.path.join(out_root, sample_.sample_id)
+        base = os.path.join(cfg["out"], sample_.sample_id)
         dataset.write_pgm(base + ".p.pgm", p)
         tensorio.save_tensor(base + ".p.f64", p)
         tensorio.save_tensor(base + ".m.f64", m)
 
 
-def run_eval(data_root, maps_root, out_csv, samples_root=None) -> list[dict]:
+def run_eval(cfg: dict) -> None:
     """Per-condition localization metrics plus the diversity proxy."""
-    data = dataset.load_dataset(data_root)
+    data = dataset.load_dataset(cfg["data"])
     rows = []
     for cat in dataset.CATEGORIES:
         for defect in dataset.DEFECTS:
@@ -127,31 +167,30 @@ def run_eval(data_root, maps_root, out_csv, samples_root=None) -> list[dict]:
                 continue
             aurocs, aps, f1s = [], [], []
             for s_ in evs:
-                p = tensorio.load_tensor(os.path.join(maps_root, s_.sample_id + ".p.f64"))
+                p = tensorio.load_tensor(os.path.join(cfg["maps"], s_.sample_id + ".p.f64"))
                 sp = metrics.ScoredPixels.make(p, s_.mask)
                 aurocs.append(metrics.auroc(sp))
                 aps.append(metrics.average_precision(sp))
                 f1s.append(metrics.f1_max(sp))
             div = float("nan")
-            if samples_root is not None:
-                cname = f"{cat}_{defect}"
-                gdir = os.path.join(samples_root, cname)
-                if os.path.isdir(gdir):
-                    imgs = [dataset.read_pgm(os.path.join(gdir, d, "sample.pgm"))
-                            for d in sorted(os.listdir(gdir))]
-                    if len(imgs) >= 2:
-                        div = metrics.diversity_proxy({cname: imgs})
-            rows.append({"category": cat, "defect": defect,
-                         "auroc": float(np.mean(aurocs)), "ap": float(np.mean(aps)),
-                         "f1_max": float(np.mean(f1s)), "diversity_proxy": div,
-                         "n_eval": len(evs)})
-    if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["category", "defect", "auroc", "ap",
-                                               "f1_max", "diversity_proxy", "n_eval"])
-            w.writeheader()
-            w.writerows(rows)
-    return rows
+            gdir = os.path.join(cfg["samples"], f"{cat}_{defect}")
+            if cfg["samples"] and os.path.isdir(gdir):
+                imgs = [dataset.read_pgm(os.path.join(gdir, d, "sample.pgm"))
+                        for d in sorted(os.listdir(gdir))]
+                if len(imgs) >= 2:
+                    div = metrics.diversity_proxy({f"{cat}_{defect}": imgs})
+            rows.append([cat, defect, float(np.mean(aurocs)), float(np.mean(aps)),
+                         float(np.mean(f1s)), div, len(evs)])
+    _write_csv(os.path.join(cfg["out"], "metrics.csv"),
+               ["category", "defect", "auroc", "ap", "f1_max", "diversity_proxy", "n_eval"], rows)
+
+
+def run_inspect_schedule(cfg: dict) -> None:
+    """The schedule tables; an undefined slope at t = 0 is an empty cell."""
+    s = sched.build_schedule(cfg["t_steps"], cfg["kind"])
+    _write_csv(os.path.join(cfg["out"], "schedule.csv"),
+               ["t", "alpha", "sigma", "lambda", "lambda_slope", "beta_t"],
+               sched.schedule_table(s, cfg["beta"]))
 
 
 def reference_diversity(data_root) -> float:

@@ -46,10 +46,6 @@ class GuidanceConfig:
             raise ValueError("z0_clip must be > 0")
 
 
-# guidance scales reported for the full-scale system
-PUBLISHED_GUIDANCE = GuidanceConfig(s_text=6.5, s_align=3.0, steps=100, eta=0.0)
-
-
 @dataclass
 class SampleRun:
     """A batch of trajectories; row b of every recorded (B, D) array is one image.
@@ -116,6 +112,8 @@ def ddim_step(s: sched.NoiseSchedule, z_t: np.ndarray, eps_hat: np.ndarray,
 
 def visit_schedule(T: int, steps: int) -> list[int]:
     """Evenly spaced timesteps from T down to 1."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     ts = np.unique(np.round(np.linspace(T, 1, steps)).astype(int))[::-1]
     return [int(t) for t in ts if t >= 1]
 
@@ -150,19 +148,20 @@ def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate |
 
 
 def deviation_run(reference: Denoiser, adapters: LoraStack, gate: TemporalGate,
-                  z0: np.ndarray, c, guidance: GuidanceConfig,
+                  z0: np.ndarray, c, steps: int,
                   s: sched.NoiseSchedule, seed: int) -> SampleRun:
     """Alignment-deviation trajectories for existing latents z0 (B, D).
 
-    Every row is forward-noised to each visited level with the same fresh
-    noise and the policy/reference disagreement is recorded there; c is
-    one token per row or one for all.  Used to localize anomalies in real
-    images rather than generated ones.
+    Every row is forward-noised to each of the `steps` visited levels with
+    the same fresh noise and the policy/reference disagreement is recorded
+    there; c is one token per row or one for all.  No guidance scale enters:
+    the deviation is the raw alignment delta.  Used to localize anomalies in
+    real images rather than generated ones.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.ndim != 2:
         raise ValueError("deviation_run takes a (B, D) batch of latents")
-    visits = visit_schedule(s.T, guidance.steps)
+    visits = visit_schedule(s.T, steps)
     run = SampleRun()
     for i, t in enumerate(visits):
         eps = seeded_gaussian(z0.shape[1:], seed, _S_DEVIATION + i)

@@ -7,7 +7,7 @@ import pytest
 
 from anomgen import cli
 from anomgen.autodiff import Tensor
-from anomgen.optim import AdamState, adam_step
+from anomgen.optim import Adam, adam_step
 from anomgen.trainer import DivergenceError
 
 
@@ -55,6 +55,27 @@ def test_missing_required_exit_2():
     assert cli.main(["gen-data"]) == cli.EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("command, option", [
+    (cmd, name) for cmd, spec in cli._SPECS.items()
+    for name, (_typ, default) in spec.items() if default is None])
+def test_options_without_default_are_required(tmp_path, capsys, command, option):
+    given = [a for name, (_typ, default) in cli._SPECS[command].items()
+             if default is None and name != option
+             for a in ("--" + name.replace("_", "-"), str(tmp_path / name))]
+    assert cli.main([command] + given) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: missing required options: [{option!r}]\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_removed_options_rejected_in_config(tmp_path, capsys):
+    for command, key in (("sample", "preset"), ("localize", "s_align")):
+        cfile = tmp_path / f"{command}.json"
+        cfile.write_text(json.dumps({"command": command, key: 1}))
+        assert cli.main([command, "--config", str(cfile)]) == cli.EXIT_BAD_CONFIG
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_3(tmp_path):
     rc = cli.main(["gen-data", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "d")])
@@ -77,6 +98,21 @@ def test_divergence_exit_4(tmp_path, monkeypatch):
     rc = cli.main(["pretrain", "--data", str(tmp_path / "d"),
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_DIVERGED
+    assert not (tmp_path / "o" / "run.json").exists()
+
+
+def test_failed_rerun_removes_stale_run_json(tmp_path, monkeypatch):
+    out = tmp_path / "d"
+    assert cli.main(_tiny_args(out)) == 0
+    assert (out / "run.json").exists()
+
+    def boom(cfg):
+        raise ValueError("stage failed")
+
+    monkeypatch.setattr(cli.pipeline, "run_gen_data", boom)
+    assert cli.main(_tiny_args(out)) == cli.EXIT_BAD_CONFIG
+    assert (out / "manifest.json").exists()
+    assert not (out / "run.json").exists()
 
 
 # -- run.json ------------------------------------------------------------------
@@ -233,6 +269,16 @@ def _no_sample_runs(stack, tmp, monkeypatch):
     return _unknown_condition(stack, tmp, monkeypatch)[:-2] + ["--n", "0"]
 
 
+def _unknown_split(stack, tmp, monkeypatch):
+    return ["localize", "--ref", str(stack["pre"] / "reference.ckpt"),
+            "--adapters", str(stack["al"] / "adapters.ckpt"), "--data", str(stack["data"]),
+            "--split", "bogus"]
+
+
+def _single_step_schedule(stack, tmp, monkeypatch):
+    return ["pretrain", "--data", str(stack["data"]), "--t-steps", "1"]
+
+
 def _non_finite_gradient(stack, tmp, monkeypatch):
     monkeypatch.setattr(cli.pipeline.trainer, "pretrain_reference", _nan_adam_step)
     return ["pretrain", "--data", str(stack["data"]), "--steps", "1"]
@@ -240,7 +286,7 @@ def _non_finite_gradient(stack, tmp, monkeypatch):
 
 def _nan_adam_step(*a, **kw):
     p = Tensor(np.zeros(2), requires_grad=True)
-    adam_step(AdamState([p], learning_rate=0.1), grads=[np.array([np.nan, 0.0])])
+    adam_step(Adam([p], learning_rate=0.1), grads=[np.array([np.nan, 0.0])])
 
 
 @pytest.mark.parametrize("case, code, message", [
@@ -248,6 +294,8 @@ def _nan_adam_step(*a, **kw):
     (_string_typed_config, cli.EXIT_BAD_CONFIG, "steps='5' is not of type int"),
     (_unknown_condition, cli.EXIT_BAD_CONFIG, "valid: all, stripes_scratch"),
     (_no_sample_runs, cli.EXIT_BAD_CONFIG, "n must be >= 1"),
+    (_unknown_split, cli.EXIT_BAD_CONFIG, "valid: normal, reference, eval"),
+    (_single_step_schedule, cli.EXIT_BAD_CONFIG, "T must be >= 2"),
     (_non_finite_gradient, cli.EXIT_DIVERGED, "non-finite gradient"),
 ])
 def test_failures_exit_with_documented_code(toy_stack, tmp_path, capsys, monkeypatch,
@@ -257,5 +305,5 @@ def test_failures_exit_with_documented_code(toy_stack, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
-    if case in (_unknown_condition, _no_sample_runs):
-        assert not out.exists()
+    assert not (out / "run.json").exists()
+    assert not out.exists()  # each of these fails before the stage writes anything

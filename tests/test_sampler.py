@@ -213,9 +213,8 @@ def test_sample_zero_adapters_zero_delta(tiny_model, tiny_adapters, small):
 def test_deviation_run(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     z0 = seeded_gaussian((1, 4), 9, 0)
-    cfg = GuidanceConfig(steps=8)
-    r1 = deviation_run(tiny_model, adapters, gate, z0, 2, cfg, small, seed=3)
-    r2 = deviation_run(tiny_model, adapters, gate, z0, 2, cfg, small, seed=3)
+    r1 = deviation_run(tiny_model, adapters, gate, z0, 2, 8, small, seed=3)
+    r2 = deviation_run(tiny_model, adapters, gate, z0, 2, 8, small, seed=3)
     assert r1.timesteps == visit_schedule(50, 8)
     assert r1.latents == []
     for a, b in zip(r1.delta_align, r2.delta_align):
@@ -223,18 +222,19 @@ def test_deviation_run(tiny_model, warm_adapters, small):
         assert np.array_equal(a, b)
     assert any(np.any(d != 0.0) for d in r1.delta_align)
     with pytest.raises(ValueError, match="batch"):
-        deviation_run(tiny_model, adapters, gate, z0[0], 2, cfg, small, seed=3)
+        deviation_run(tiny_model, adapters, gate, z0[0], 2, 8, small, seed=3)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        deviation_run(tiny_model, adapters, gate, z0, 2, 0, small, seed=3)
 
 
 def test_deviation_run_batch_matches_single_rows(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     z0 = seeded_gaussian((3, 4), 10, 0)
     tokens = [2, 1, 2]
-    cfg = GuidanceConfig(steps=8)
-    both = deviation_run(tiny_model, adapters, gate, z0, tokens, cfg, small, seed=4)
+    both = deviation_run(tiny_model, adapters, gate, z0, tokens, 8, small, seed=4)
     for row in range(3):
         alone = deviation_run(tiny_model, adapters, gate, z0[row:row + 1], tokens[row],
-                              cfg, small, seed=4)
+                              8, small, seed=4)
         for a, b in zip(alone.delta_align, both.delta_align):
             assert np.max(np.abs(a[0] - b[row])) <= 1e-12
 
