@@ -84,8 +84,9 @@ _SPECS: dict[str, dict] = {
     },
 }
 
-# options naming an input artifact; a dataset is checked through its manifest
-_INPUTS = ("data", "ref", "adapters", "maps")
+# options naming an input artifact, checked when set; a dataset is checked
+# through its manifest
+_INPUTS = ("data", "ref", "adapters", "maps", "samples")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,7 +151,7 @@ def _check_inputs(paths) -> None:
 def _run(command: str, cfg: dict) -> None:
     """Check the input artifacts, run the stage, and record run.json once it has succeeded."""
     _check_inputs([os.path.join(cfg[k], "manifest.json") if k == "data" else cfg[k]
-                   for k in cfg if k in _INPUTS])
+                   for k in cfg if k in _INPUTS and cfg[k]])
     run_json = os.path.join(cfg["out"], "run.json")
     if os.path.isfile(run_json):
         os.remove(run_json)  # a stale record would mark a failed rerun as complete

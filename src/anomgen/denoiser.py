@@ -4,6 +4,7 @@ A 4-layer dense net on batches of flattened 16x16 latents.  Class-token
 and sinusoidal time embeddings are added to the first hidden activation.
 Adapters are applied unmerged: each layer adds ((h A^T) * mask) B^T to
 the frozen h W^T, with the mask width shrinking as the timestep grows.
+Parameters are plain float64 arrays; autodiff.backward is the gradient.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
-from .autodiff import Tensor
+from .autodiff import sigmoid
 from .rng import seeded_gaussian
 
 NULL_TOKEN = 0
@@ -60,29 +61,26 @@ class LoraStack:
 
     def __init__(self, layer_shapes, rank: int, seed: int, stream_base: int = 900):
         self.rank = int(rank)
-        self.A: list[Tensor] = []
-        self.B: list[Tensor] = []
-        for i, (out_dim, in_dim) in enumerate(layer_shapes):
-            a = seeded_gaussian((rank, in_dim), seed, stream_base + 2 * i) / np.sqrt(rank)
-            self.A.append(Tensor(a, requires_grad=True))
-            self.B.append(Tensor(np.zeros((out_dim, rank)), requires_grad=True))
+        self.A = [seeded_gaussian((rank, in_dim), seed, stream_base + 2 * i) / np.sqrt(rank)
+                  for i, (_out_dim, in_dim) in enumerate(layer_shapes)]
+        self.B = [np.zeros((out_dim, rank)) for out_dim, _in_dim in layer_shapes]
 
     @property
-    def params(self) -> list[Tensor]:
+    def params(self) -> list[np.ndarray]:
         return self.A + self.B
 
-    def layer_delta(self, i: int, mask: np.ndarray) -> Tensor:
+    def layer_delta(self, i: int, mask: np.ndarray) -> np.ndarray:
         """Merged update B_i @ diag(mask) @ A_i; the forward never builds it."""
         if mask.shape != (self.rank,):
             raise ValueError("mask length must equal adapter rank")
-        return self.B[i] @ (Tensor(mask[:, None]) * self.A[i])
+        return self.B[i] @ (mask[:, None] * self.A[i])
 
 
 def effective_delta(adapter: LoraStack, gate: TemporalGate, t: int, layer: int = 0) -> np.ndarray:
     """Merged weight update of one adapted layer at timestep t (test oracle)."""
     if gate.k_max != adapter.rank:
         raise ValueError("gate k_max must equal adapter rank")
-    return adapter.layer_delta(layer, gate_matrix(gate, t)).data
+    return adapter.layer_delta(layer, gate_matrix(gate, t))
 
 
 def sinusoidal_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
@@ -107,41 +105,31 @@ class Denoiser:
         self.time_max_period = float(time_max_period)
 
         dims = [(hidden, latent_dim), (hidden, hidden), (hidden, hidden), (latent_dim, hidden)]
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for i, (out_dim, in_dim) in enumerate(dims):
-            w = seeded_gaussian((out_dim, in_dim), seed, 100 + i) / np.sqrt(in_dim)
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(out_dim), requires_grad=True))
-        cond = seeded_gaussian((n_tokens, hidden), seed, 200) * 0.1
-        cond[NULL_TOKEN] = 0.0
-        self.cond_table = Tensor(cond, requires_grad=True)
-
-    # -- parameter plumbing ---------------------------------------------------
+        self.weights = [seeded_gaussian((out_dim, in_dim), seed, 100 + i) / np.sqrt(in_dim)
+                        for i, (out_dim, in_dim) in enumerate(dims)]
+        self.biases = [np.zeros(out_dim) for out_dim, _in_dim in dims]
+        self.cond_table = seeded_gaussian((n_tokens, hidden), seed, 200) * 0.1
+        self.cond_table[NULL_TOKEN] = 0.0
 
     @property
-    def params(self) -> list[Tensor]:
+    def params(self) -> list[np.ndarray]:
         return self.weights + self.biases + [self.cond_table]
 
     def layer_shapes(self):
-        return [w.data.shape for w in self.weights]
-
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.params:
-            p.requires_grad = flag
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return [p.data for p in self.params]
+        return [w.shape for w in self.weights]
 
     # -- forward --------------------------------------------------------------
 
     def forward(self, z_t, c, t, adapters: LoraStack | None = None,
-                gate: TemporalGate | None = None) -> Tensor:
+                gate: TemporalGate | None = None, cache: list | None = None) -> np.ndarray:
         """Noise prediction for a latent (D,) or a batch of latents (B, D).
 
         c and t are a token and a timestep shared by every row, or one per
         row; c=None is the null token.  With adapters each layer computes
         h W^T + ((h A^T) * mask_k(t)) B^T without merging the weights.
+        A cache list receives (tokens, mask) and then, per layer, the input
+        h, the masked adapter activation (h A^T) * mask, the pre-activation
+        x and sigmoid(x): what autodiff.backward needs.
         """
         if adapters is not None and gate is None:
             raise ValueError("adapters require a temporal gate")
@@ -164,25 +152,31 @@ class Denoiser:
         if bad.size:
             raise ValueError(f"unknown token: {int(bad.flat[0])}")
         # a shared token or timestep gives one row that broadcasts over the batch
-        emb = self.cond_table.row(tokens) + sinusoidal_embedding(ts, self.hidden,
-                                                                 self.time_max_period)
-        mask = Tensor(gate_matrix(gate, ts)) if adapters is not None else None
+        emb = self.cond_table[tokens] + sinusoidal_embedding(ts, self.hidden,
+                                                             self.time_max_period)
+        mask = gate_matrix(gate, ts) if adapters is not None else None
+        if cache is not None:
+            cache.append((tokens, mask))
 
-        h = Tensor(z)
+        h, u = z, None
         for i in range(self.N_LAYERS):
-            out = h @ self.weights[i].T + self.biases[i]
+            x = h @ self.weights[i].T + self.biases[i]
             if adapters is not None:
-                out = out + ((h @ adapters.A[i].T) * mask) @ adapters.B[i].T
+                u = (h @ adapters.A[i].T) * mask
+                x = x + u @ adapters.B[i].T
             if i == 0:
-                out = out + emb
-            h = out.silu() if i < self.N_LAYERS - 1 else out
-        return h.row(0) if single else h
+                x = x + emb
+            s = sigmoid(x) if i < self.N_LAYERS - 1 else None
+            if cache is not None:
+                cache.append((h, u, x, s))
+            h = x if s is None else x * s
+        return h[0] if single else h
 
 
 def predict_noise(model: Denoiser, adapters: LoraStack | None, z_t, c, t,
                   gate: TemporalGate | None = None) -> np.ndarray:
-    """Plain-array forward pass for callers that do not need gradients."""
-    return model.forward(z_t, c, t, adapters=adapters, gate=gate).data
+    """Forward pass without a cache, for callers that take no gradient through it."""
+    return model.forward(z_t, c, t, adapters=adapters, gate=gate)
 
 
 # -- checkpoint container -----------------------------------------------------
@@ -192,7 +186,7 @@ def save_reference(path, model: Denoiser, sched_kind: str, T: int) -> None:
     with open(path, "wb") as fh:
         _write_header(fh, ROLE_REFERENCE, sched_kind, T,
                       (model.latent_dim, model.hidden, model.n_tokens, 0, 0))
-        for arr in model.state_arrays():
+        for arr in model.params:
             tensorio.write_tensor(fh, arr)
 
 
@@ -203,12 +197,7 @@ def load_reference(path) -> tuple[Denoiser, str, int]:
             raise ValueError("checkpoint does not hold reference weights")
         latent_dim, hidden, n_tokens, _, _ = dims
         model = Denoiser(latent_dim, hidden, n_tokens)
-        for p in model.params:
-            arr = tensorio.read_tensor(fh)
-            if arr.shape != p.data.shape:
-                raise ValueError("checkpoint tensor shape mismatch")
-            p.data = arr
-    model.set_trainable(False)
+        _read_params(fh, model.params)
     return model, kind, T
 
 
@@ -218,7 +207,7 @@ def save_adapters(path, adapters: LoraStack, gate: TemporalGate,
         _write_header(fh, ROLE_ADAPTERS, sched_kind, T,
                       (model.latent_dim, model.hidden, gate.k_min, gate.k_max, len(adapters.A)))
         for p in adapters.params:
-            tensorio.write_tensor(fh, p.data)
+            tensorio.write_tensor(fh, p)
 
 
 def load_adapters(path, model: Denoiser) -> tuple[LoraStack, TemporalGate, str, int]:
@@ -233,13 +222,17 @@ def load_adapters(path, model: Denoiser) -> tuple[LoraStack, TemporalGate, str, 
         adapters = LoraStack(model.layer_shapes(), rank=k_max, seed=0)
         if len(adapters.A) != n_layers:
             raise ValueError("adapter layer count mismatch")
-        for p in adapters.params:
-            arr = tensorio.read_tensor(fh)
-            if arr.shape != p.data.shape:
-                raise ValueError("checkpoint tensor shape mismatch")
-            p.data = arr
-            p.requires_grad = False
+        _read_params(fh, adapters.params)
     return adapters, gate, kind, T
+
+
+def _read_params(fh, params) -> None:
+    """Overwrite each parameter array in place with the next checkpoint tensor."""
+    for p in params:
+        arr = tensorio.read_tensor(fh)
+        if arr.shape != p.shape:
+            raise ValueError("checkpoint tensor shape mismatch")
+        p[...] = arr
 
 
 def _write_header(fh, role: int, kind: str, T: int, dims) -> None:

@@ -1,4 +1,4 @@
-"""Bias-corrected Adam on autodiff leaves."""
+"""Bias-corrected Adam, updating parameter arrays in place from given gradients."""
 
 from __future__ import annotations
 
@@ -20,26 +20,24 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
 
-    def step(self):
-        adam_step(self)
+    def step(self, grads) -> None:
+        adam_step(self, grads)
 
 
-def adam_step(opt: Adam, grads=None) -> None:
-    """Apply one Adam update to opt.params; grads default to the leaves' own.
+def adam_step(opt: Adam, grads) -> None:
+    """Apply one Adam update to opt.params in place, one gradient per parameter.
 
     A non-finite gradient raises DivergenceError before any parameter is
     touched.
     """
     params = opt.params
-    if grads is None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
     for p, g in zip(params, grads):
-        if g.shape != p.data.shape:
+        if g.shape != p.shape:
             raise ValueError("gradient shape mismatch")
         if not np.all(np.isfinite(g)):
             raise DivergenceError("non-finite gradient")
@@ -52,4 +50,4 @@ def adam_step(opt: Adam, grads=None) -> None:
         opt.v[i] = b2 * opt.v[i] + (1.0 - b2) * g * g
         m_hat = opt.m[i] / (1.0 - b1**t)
         v_hat = opt.v[i] / (1.0 - b2**t)
-        p.data = p.data - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+        p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)

@@ -42,6 +42,10 @@ DESK_DEFAULTS = {
     "n_samples": 16,
 }
 
+# sample run i of condition token k is seeded seed + _SEEDS_PER_TOKEN * k + i
+_SEEDS_PER_TOKEN = 10_000
+
+
 def normal_training_set(data: dict) -> list:
     """(latent, candidate tokens) pairs for pretraining."""
     return [(dataset.encode_latent(s.image), dataset.category_tokens(s.category))
@@ -123,12 +127,14 @@ def run_sample(cfg: dict) -> None:
         raise ValueError(f"unknown condition {name!r}; valid: all, {', '.join(valid)}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _SEEDS_PER_TOKEN:
+        raise ValueError(f"n must be <= {_SEEDS_PER_TOKEN}, the seeds of one condition")
     guidance = sampler.GuidanceConfig(s_text=cfg["s_text"], s_align=cfg["s_align"],
                                       steps=cfg["steps"], eta=cfg["eta"], z0_clip=cfg["clip"])
     model, adapters, gate, s = load_aligned(cfg["ref"], cfg["adapters"])
     for cname in valid if name == "all" else [name]:
         token = dataset.token_from_name(cname)
-        seeds = [cfg["seed"] + 10_000 * token + i for i in range(n)]
+        seeds = [cfg["seed"] + _SEEDS_PER_TOKEN * token + i for i in range(n)]
         run = sampler.sample(model, adapters, gate, token, guidance, s, seeds)
         sampler.save_run(run, [os.path.join(cfg["out"], cname, f"run_{i:03d}")
                                for i in range(n)], decode=dataset.decode_latent)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schedule as sched
-from .autodiff import Tensor
+from .autodiff import sigmoid
 from .rng import seeded_gaussian, seeded_randint
 
 
@@ -42,34 +42,37 @@ def alignment_deviation(eps_theta_hat, eps_ref_hat, eps):
     return float(out) if out.ndim == 0 else out
 
 
-def apo_loss(delta, beta_t: float):
+def apo_loss(delta, beta_t, grad: bool = False):
     """-log sigmoid(-beta_t * delta), evaluated as softplus(beta_t * delta).
 
-    Accepts a float or an autodiff Tensor for delta; with a Tensor of
-    per-row deviations beta_t may hold one weight per row.  The softplus
-    form stays finite for any finite argument.
+    A float for one deviation; one value per row for an array of per-row
+    deviations, with beta_t a single weight or one per row.  The softplus
+    form stays finite for any finite argument.  With grad=True also returns
+    the gradient of the rows' mean with respect to delta.
     """
-    if np.any(np.asarray(beta_t) <= 0):
+    beta_t = np.asarray(beta_t, dtype=np.float64)
+    if np.any(beta_t <= 0):
         raise ValueError("beta_t must be > 0")
-    if isinstance(delta, Tensor):
-        return (delta * beta_t).softplus()
-    x = beta_t * float(delta)
-    return float(np.maximum(x, 0.0) + np.log1p(np.exp(-abs(x))))
+    x = np.asarray(delta, dtype=np.float64) * beta_t
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = float(out) if out.ndim == 0 else out
+    if not grad:
+        return out
+    return out, ((1.0 / x.size) * sigmoid(x)) * beta_t
 
 
-def sd_loss(eps_hat, eps):
-    """Mean squared error of a noise prediction."""
-    if isinstance(eps_hat, Tensor):
-        e = Tensor(np.asarray(eps, dtype=np.float64))
-        if eps_hat.data.shape != e.data.shape:
-            raise ValueError("shape mismatch")
-        d = eps_hat - e
-        return (d * d).mean()
+def sd_loss(eps_hat, eps, grad: bool = False):
+    """Mean squared error of a noise prediction; with grad=True also d loss / d eps_hat."""
     a = np.asarray(eps_hat, dtype=np.float64)
     e = np.asarray(eps, dtype=np.float64)
     if a.shape != e.shape:
         raise ValueError("shape mismatch")
-    return float(np.mean((a - e) ** 2))
+    d = a - e
+    loss = float(np.mean(d * d))
+    if not grad:
+        return loss
+    gd = d * (1.0 / d.size)
+    return loss, gd + gd
 
 
 def bt_preference_prob(delta: float, beta_t: float) -> float:

@@ -5,7 +5,8 @@ prediction loss, dropping the condition to the null token with a small
 probability so the unconditional branch used at sampling time exists.
 Alignment freezes those weights and trains only the gated low-rank
 adapters with the preference loss, one (sample, t, eps) triple per batch
-row.  Each step runs the whole batch through one forward and one backward.
+row.  Each step runs the whole batch through one forward, the loss
+gradient with respect to the output rows, and one closed-form backward.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import preference, schedule as sched
-from .autodiff import Tensor, backward, zero_grads
+from .autodiff import backward, zero_grads
 from .denoiser import Denoiser, LoraStack, TemporalGate, predict_noise
 from .optim import Adam, DivergenceError
 from .rng import seeded_gaussian, seeded_randint, seeded_uniform
@@ -77,7 +78,6 @@ def pretrain_reference(normal_set, config: TrainConfig, s: sched.NoiseSchedule,
         raise ValueError("empty dataset")
     if model is None:
         model = Denoiser(latent_dim=len(normal_set[0][0]), seed=config.seed)
-    model.set_trainable(True)
     opt = Adam(model.params, config.learning_rate)
     log = TrainLog()
 
@@ -92,13 +92,13 @@ def pretrain_reference(normal_set, config: TrainConfig, s: sched.NoiseSchedule,
         draws = range(step * bs, (step + 1) * bs)
         t, eps, z_t = _noised_batch(normal_set, idx, ts, draws, s, config.seed, _PRETRAIN_NOISE)
         tokens = [0 if drop[d] else _pick(normal_set[idx[d]][1], tok_u[d]) for d in draws]
-        loss = preference.sd_loss(model.forward(z_t, tokens, t), eps)
-        val = float(loss.data)
+        cache = []
+        val, g = preference.sd_loss(model.forward(z_t, tokens, t, cache=cache), eps, grad=True)
         if not np.isfinite(val):
             raise DivergenceError(f"diverged at pretrain step {step}")
-        backward(loss)
-        opt.step()
-        zero_grads(model.params)
+        grads = zero_grads(opt.params)
+        backward(model, cache, g, grads)
+        opt.step(grads)
         log.add(step=step, t=int(t[0]), delta=None, beta_t=None, loss=val, pref_prob=None)
     return model, log
 
@@ -128,7 +128,6 @@ def align(reference: Denoiser, anomaly_set, config: TrainConfig,
     anomaly_set = list(anomaly_set)
     if not anomaly_set:
         raise ValueError("empty anomaly set")
-    reference.set_trainable(False)
     gate = TemporalGate(k_min=config.k_min, k_max=config.k_max, T=s.T)
     adapters = LoraStack(reference.layer_shapes(), rank=config.k_max, seed=config.seed)
     opt = Adam(adapters.params, config.learning_rate)
@@ -144,19 +143,20 @@ def align(reference: Denoiser, anomaly_set, config: TrainConfig,
         t, eps, z_t = _noised_batch(anomaly_set, idx, ts, draws, s, config.seed, _ALIGN_NOISE)
         tokens = [anomaly_set[idx[d]][1] for d in draws]
         eps_ref = predict_noise(reference, None, z_t, tokens, t)
-        eps_th = reference.forward(z_t, tokens, t, adapters=adapters, gate=gate)
-        diff = eps_th - Tensor(eps)
-        # per-row squared error as a product with ones: the graph needs no row sum
-        delta = (diff * diff) @ np.ones(eps.shape[1]) - np.sum((eps_ref - eps) ** 2, axis=1)
+        cache = []
+        d = reference.forward(z_t, tokens, t, adapters=adapters, gate=gate, cache=cache) - eps
+        # per-row squared error as a product with ones, which rounds unlike a row sum
+        delta = (d * d) @ np.ones(eps.shape[1]) - np.sum((eps_ref - eps) ** 2, axis=1)
         beta_t = np.array([sched.beta_weight(s, config.beta, int(ti)) for ti in t])
-        loss = preference.apo_loss(delta, beta_t).mean()
-        val = float(loss.data)
+        losses, g_delta = preference.apo_loss(delta, beta_t, grad=True)
+        val = float(np.mean(losses))
         if not np.isfinite(val):
             raise DivergenceError(f"diverged at align step {step}")
-        backward(loss)
-        opt.step()
-        zero_grads(adapters.params)
-        d0, b0 = float(delta.data[0]), float(beta_t[0])
+        g = g_delta[:, None] * d  # d delta / d eps_th = 2 d, added as g + g
+        grads = zero_grads(opt.params)
+        backward(reference, cache, g + g, grads, adapters=adapters)
+        opt.step(grads)
+        d0, b0 = float(delta[0]), float(beta_t[0])
         log.add(step=step, t=int(t[0]), delta=d0, beta_t=b0, loss=val,
                 pref_prob=preference.bt_preference_prob(d0, b0))
     return adapters, gate, log

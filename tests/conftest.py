@@ -3,6 +3,7 @@ import pytest
 
 from anomgen import schedule as sched
 from anomgen.denoiser import Denoiser, LoraStack, TemporalGate
+from anomgen.rng import seeded_gaussian
 
 
 @pytest.fixture(scope="session")
@@ -28,25 +29,35 @@ def tiny_adapters(tiny_model):
 
 
 def directional_derivative(loss_fn, params, direction, h=1e-5):
-    """Central finite difference of loss_fn along a parameter direction."""
+    """Central finite difference of loss_fn along a parameter direction.
+
+    The parameter arrays are moved in place and moved back afterwards.
+    """
     for p, d in zip(params, direction):
-        p.data = p.data + h * d
+        p += h * d
     f_plus = float(loss_fn())
     for p, d in zip(params, direction):
-        p.data = p.data - 2.0 * h * d
+        p -= 2.0 * h * d
     f_minus = float(loss_fn())
     for p, d in zip(params, direction):
-        p.data = p.data + h * d
+        p += h * d
     return (f_plus - f_minus) / (2.0 * h)
 
 
-def grad_dot(grads, params, direction):
-    total = 0.0
-    for p, d in zip(params, direction):
-        g = grads.get(p)
-        if g is not None:
-            total += float(np.sum(g * d))
-    return total
+def grad_dot(grads, direction):
+    """Directional derivative from per-parameter gradients."""
+    return sum(float(np.sum(g * d)) for g, d in zip(grads, direction))
+
+
+def warm(adapters, seed=5, scale=0.3):
+    """Give every adapter B a nonzero value, so the adapters change the output."""
+    for layer in range(len(adapters.B)):
+        adapters.B[layer] = seeded_gaussian(adapters.B[layer].shape, seed, layer) * scale
+    return adapters
+
+
+def random_direction(params, seed):
+    return [seeded_gaussian(p.shape, seed, i) for i, p in enumerate(params)]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -15,7 +15,7 @@ import pytest
 
 from anomgen import cli, dataset, localization, pipeline, preference, sampler
 from anomgen import schedule as sched, trainer
-from anomgen.autodiff import Tensor, backward, zero_grads
+from anomgen.autodiff import backward, zero_grads
 from anomgen.denoiser import (Denoiser, LoraStack, TemporalGate, gate_dims,
                               gate_matrix, predict_noise)
 from anomgen.metrics import ScoredPixels, auroc, average_precision, f1_max
@@ -43,7 +43,7 @@ def _warm_adapters(model, T, seed=11, scale=0.1):
     gate = TemporalGate(k_min=1, k_max=4, T=T)
     adapters = LoraStack(model.layer_shapes(), rank=4, seed=1)
     for i in range(len(adapters.B)):
-        adapters.B[i].data = seeded_gaussian(adapters.B[i].data.shape, seed, i) * scale
+        adapters.B[i] = seeded_gaussian(adapters.B[i].shape, seed, i) * scale
     return adapters, gate
 
 
@@ -117,40 +117,40 @@ def test_criterion_2_gradient_check():
     model = Denoiser(latent_dim=4, hidden=8, n_tokens=3, seed=0)
     worst = 0.0
 
-    def fd_vs_grad(loss_fn, params, seed):
-        grads = backward(loss_fn())
-        direction = [seeded_gaussian(p.data.shape, seed, i)
+    def fd_vs_grad(loss_fn, params, seed, adapters=None):
+        # loss_fn(cache) returns the loss and its gradient w.r.t. the output rows
+        cache = []
+        _, g_out = loss_fn(cache)
+        grads = zero_grads(params)
+        backward(model, cache, g_out, grads, adapters=adapters)
+        direction = [seeded_gaussian(p.shape, seed, i)
                      for i, p in enumerate(params)]
         h = 1e-5
         for p, d in zip(params, direction):
-            p.data = p.data + h * d
-        f_plus = float(loss_fn().data)
+            p += h * d
+        f_plus = loss_fn()[0]
         for p, d in zip(params, direction):
-            p.data = p.data - 2 * h * d
-        f_minus = float(loss_fn().data)
+            p -= 2 * h * d
+        f_minus = loss_fn()[0]
         for p, d in zip(params, direction):
-            p.data = p.data + h * d
+            p += h * d
         fd = (f_plus - f_minus) / (2 * h)
-        an = sum(float(np.sum(grads[p] * d)) for p, d in zip(params, direction)
-                 if p in grads)
-        zero_grads(params)
+        an = sum(float(np.sum(g * d)) for g, d in zip(grads, direction))
         return abs(fd - an) / max(abs(fd), abs(an), 1e-12)
 
     # 20 configurations of the denoising loss through the full network
-    model.set_trainable(True)
     for k in range(20):
-        z = seeded_gaussian((4,), 1000 + k, 0)
-        eps = seeded_gaussian((4,), 1000 + k, 1)
+        z = seeded_gaussian((1, 4), 1000 + k, 0)
+        eps = seeded_gaussian((1, 4), 1000 + k, 1)
         t = 1 + k % 50
         tok = k % 3
 
-        def sd():
-            return preference.sd_loss(model.forward(z, tok, t), eps)
+        def sd(cache=None):
+            return preference.sd_loss(model.forward(z, tok, t, cache=cache), eps, grad=True)
 
         worst = max(worst, fd_vs_grad(sd, model.params, 2000 + k))
 
     # 20 configurations of the preference loss through adapters and gate
-    model.set_trainable(False)
     adapters, gate = _warm_adapters(model, 50)
     for k in range(20):
         z0 = seeded_gaussian((4,), 3000 + k, 0) * 0.5
@@ -160,13 +160,14 @@ def test_criterion_2_gradient_check():
         eps_ref = predict_noise(model, None, z_t, 1, t)
         beta_t = sched.beta_weight(s, 1000.0, t)
 
-        def apo():
-            eps_th = model.forward(z_t, 1, t, adapters=adapters, gate=gate)
-            diff = eps_th - Tensor(eps)
-            delta = (diff * diff).sum() + (-float(np.sum((eps_ref - eps) ** 2)))
-            return preference.apo_loss(delta, beta_t)
+        def apo(cache=None):
+            d = model.forward(z_t[None], 1, t, adapters=adapters, gate=gate, cache=cache) - eps
+            delta = (d * d) @ np.ones(4) - float(np.sum((eps_ref - eps) ** 2))
+            loss, g_delta = preference.apo_loss(delta, beta_t, grad=True)
+            g = g_delta[:, None] * d
+            return float(np.mean(loss)), g + g
 
-        worst = max(worst, fd_vs_grad(apo, adapters.params, 4000 + k))
+        worst = max(worst, fd_vs_grad(apo, adapters.params, 4000 + k, adapters=adapters))
 
     elapsed = time.monotonic() - t0
     ok = worst < 1e-4 and elapsed < 30.0
@@ -282,19 +283,20 @@ def test_criterion_6_gate():
 
     # gradients of masked rank directions are exactly zero
     model = Denoiser(latent_dim=4, hidden=8, n_tokens=3, seed=0)
-    model.set_trainable(False)
     adapters, gate = _warm_adapters(model, 50)
-    z = seeded_gaussian((4,), 12, 0)
+    z = seeded_gaussian((1, 4), 12, 0)
     t = 50  # only k_min of the 4 rank directions active
-    grads = backward(model.forward(z, 1, t, adapters=adapters, gate=gate).sum())
+    cache = []
+    model.forward(z, 1, t, adapters=adapters, gate=gate, cache=cache)
+    grads = zero_grads(adapters.params)
+    backward(model, cache, np.ones((1, 4)), grads, adapters=adapters)  # d sum / d out
     mask = gate_matrix(gate, t)
     for layer in range(4):
-        ga = grads[adapters.A[layer]]
-        gb = grads[adapters.B[layer]]
+        ga = grads[layer]
+        gb = grads[4 + layer]
         for r in range(gate.k_max):
             if mask[r] == 0.0:
                 ok = ok and np.all(ga[r] == 0.0) and np.all(gb[:, r] == 0.0)
-    zero_grads(adapters.params)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     _report(6, "gate rank is 32/18/4 at t=0/500/1000, monotone non-increasing, "

@@ -1,143 +1,115 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from anomgen.autodiff import Tensor, backward, zero_grads
+from anomgen import preference
+from anomgen.autodiff import backward, zero_grads
 from anomgen.rng import seeded_gaussian
 
-from conftest import directional_derivative, grad_dot
+from conftest import directional_derivative, grad_dot, random_direction, warm
+
+TOKENS = [1, 0, 1, 2]  # a repeated token and the null token
+TIMES = [3, 17, 50, 17]
 
 
-def test_square_gradient():
-    x = Tensor(3.0, requires_grad=True)
-    grads = backward(x * x)
-    assert np.allclose(grads[x], 6.0)
+def _grads(model, z, c, t, g, adapters=None, gate=None):
+    """Gradients of sum(out * g) over the model's or the adapters' parameters."""
+    cache = []
+    model.forward(z, c, t, adapters=adapters, gate=gate, cache=cache)
+    grads = zero_grads(model.params if adapters is None else adapters.params)
+    backward(model, cache, g, grads, adapters=adapters)
+    return grads, cache
 
 
-def test_sigmoid_sum_gradient_at_zero():
-    x = Tensor(np.zeros(5), requires_grad=True)
-    grads = backward(x.sigmoid().sum())
-    assert np.allclose(grads[x], 0.25)
+def test_pretrain_batch_gradient_matches_finite_differences(tiny_model):
+    for seed in range(3):
+        z = seeded_gaussian((4, 4), 40 + seed, 0)
+        eps = seeded_gaussian((4, 4), 40 + seed, 1)
+
+        def loss(cache=None):
+            return preference.sd_loss(tiny_model.forward(z, TOKENS, TIMES, cache=cache), eps,
+                                      grad=True)
+
+        cache = []
+        _, g = loss(cache)
+        grads = zero_grads(tiny_model.params)
+        backward(tiny_model, cache, g, grads)
+        direction = random_direction(tiny_model.params, seed + 500)
+        fd = directional_derivative(lambda: loss()[0], tiny_model.params, direction)
+        an = grad_dot(grads, direction)
+        assert abs(fd - an) / max(abs(fd), abs(an), 1e-10) < 1e-4
 
 
-def test_backward_requires_scalar():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with pytest.raises(ValueError, match="backward requires scalar"):
-        backward(x + x)
-
-
-def test_gradients_accumulate_and_zero():
-    x = Tensor(2.0, requires_grad=True)
-    backward(x * x)
-    backward(x * x)
-    assert np.allclose(x.grad, 8.0)
-    zero_grads([x])
-    assert x.grad is None
-
-
-def _random_params(shapes, seed):
-    return [Tensor(seeded_gaussian(s, seed, i), requires_grad=True)
-            for i, s in enumerate(shapes)]
-
-
-def _fd_check(loss_fn, params, seed, tol=1e-4):
-    grads = backward(loss_fn())
-    direction = [seeded_gaussian(p.data.shape, seed + 999, i)
-                 for i, p in enumerate(params)]
-    fd = directional_derivative(lambda: loss_fn().data, params, direction)
-    an = grad_dot(grads, params, direction)
-    zero_grads(params)
-    denom = max(abs(fd), abs(an), 1e-8)
-    assert abs(fd - an) / denom < tol, (fd, an)
-
-
-def test_three_layer_network_matches_finite_differences():
-    for seed in range(10):
-        w1, w2, w3 = _random_params([(6, 4), (6, 6), (1, 6)], seed)
-        b1, b2 = _random_params([(6,), (6,)], seed + 100)
-        x = seeded_gaussian((4,), seed, 50)
+def test_adapter_batch_gradient_matches_finite_differences(tiny_model, tiny_adapters):
+    adapters, gate = tiny_adapters
+    warm(adapters)
+    weights = seeded_gaussian((4, 4), 60, 0)
+    for seed in range(3):
+        z = seeded_gaussian((4, 4), 61 + seed, 0)
 
         def loss():
-            h = (w1 @ Tensor(x) + b1).silu()
-            h = (w2 @ h + b2).silu()
-            return (w3 @ h).sum()
+            out = tiny_model.forward(z, TOKENS, TIMES, adapters=adapters, gate=gate)
+            return float(np.sum(out * weights))
 
-        _fd_check(loss, [w1, w2, w3, b1, b2], seed)
-
-
-def test_primitive_gradients_match_finite_differences():
-    ops = {
-        "add": lambda a, b: (a + b).sum(),
-        "sub": lambda a, b: (a - b).sum(),
-        "mul": lambda a, b: (a * b).mean(),
-        "neg": lambda a, b: (-(a * b)).sum(),
-        "sigmoid": lambda a, b: (a * b).sigmoid().sum(),
-        "silu": lambda a, b: (a + b).silu().sum(),
-        "softplus": lambda a, b: (a * b).softplus().mean(),
-    }
-    for name, op in ops.items():
-        for seed in range(5):
-            a, b = _random_params([(3, 4), (3, 4)], seed * 7 + 1)
-            _fd_check(lambda: op(a, b), [a, b], seed)
+        grads, _ = _grads(tiny_model, z, TOKENS, TIMES, weights, adapters, gate)
+        direction = random_direction(adapters.params, seed + 600)
+        fd = directional_derivative(loss, adapters.params, direction)
+        an = grad_dot(grads, direction)
+        assert abs(fd - an) / max(abs(fd), abs(an), 1e-10) < 1e-4
 
 
-def test_broadcast_gradients():
-    for seed in range(5):
-        a = Tensor(seeded_gaussian((3, 4), seed, 0), requires_grad=True)
-        b = Tensor(seeded_gaussian((4,), seed, 1), requires_grad=True)
-        c = Tensor(seeded_gaussian((3, 1), seed, 2), requires_grad=True)
-        _fd_check(lambda: ((a + b) * c).sum(), [a, b, c], seed)
+def test_gradients_accumulate_and_zero(tiny_model):
+    z = seeded_gaussian((3, 4), 1, 0)
+    g = seeded_gaussian((3, 4), 1, 1)
+    once, cache = _grads(tiny_model, z, [1, 2, 1], [5, 9, 5], g)
+    twice = zero_grads(tiny_model.params)
+    backward(tiny_model, cache, g, twice)
+    backward(tiny_model, cache, g, twice)
+    for a, b in zip(once, twice):
+        assert np.allclose(b, 2.0 * a, rtol=1e-14, atol=0.0)
+    fresh = zero_grads(tiny_model.params)
+    for buf, p in zip(fresh, tiny_model.params):
+        assert buf.shape == p.shape and not np.any(buf) and buf is not p
 
 
-def test_matmul_gradients():
-    for seed in range(5):
-        m = Tensor(seeded_gaussian((3, 4), seed, 0), requires_grad=True)
-        v = Tensor(seeded_gaussian((4,), seed, 1), requires_grad=True)
-        _fd_check(lambda: (m @ v).sum(), [m, v], seed)
-        p = Tensor(seeded_gaussian((2, 3), seed, 2), requires_grad=True)
-        q = Tensor(seeded_gaussian((3, 5), seed, 3), requires_grad=True)
-        _fd_check(lambda: (p @ q).mean(), [p, q], seed)
+def test_row_gradient_scatter(tiny_model):
+    # token 2 appears twice, so its table row receives both rows' gradients
+    z = seeded_gaussian((3, 4), 2, 0)
+    g = seeded_gaussian((3, 4), 2, 1)
+    tokens, ts = [2, 1, 2], [4, 30, 11]
+    table = _grads(tiny_model, z, tokens, ts, g)[0][-1]
+    per_row = [_grads(tiny_model, z[r:r + 1], tokens[r], ts[r], g[r:r + 1])[0][-1]
+               for r in range(3)]
+    assert np.all(table[0] == 0.0)  # the null token was not used
+    assert np.allclose(table[2], per_row[0][2] + per_row[2][2], rtol=1e-12, atol=0.0)
+    assert np.allclose(table[1], per_row[1][1], rtol=1e-12, atol=0.0)
 
 
-def test_row_gradient_scatter():
-    table = Tensor(seeded_gaussian((4, 3), 0, 0), requires_grad=True)
-    grads = backward((table.row(2) * Tensor(np.array([1.0, 2.0, 3.0]))).sum())
-    expected = np.zeros((4, 3))
-    expected[2] = [1.0, 2.0, 3.0]
-    assert np.array_equal(grads[table], expected)
+def test_broadcast_gradients(tiny_model, tiny_adapters):
+    # a shared token and timestep broadcast over the batch: the same gradients
+    # as the token and timestep repeated per row
+    adapters, gate = tiny_adapters
+    warm(adapters)
+    z = seeded_gaussian((3, 4), 3, 0)
+    g = seeded_gaussian((3, 4), 3, 1)
+    for ad, gt in ((None, None), (adapters, gate)):
+        shared = _grads(tiny_model, z, 2, 9, g, ad, gt)[0]
+        per_row = _grads(tiny_model, z, [2, 2, 2], [9, 9, 9], g, ad, gt)[0]
+        for a, b in zip(shared, per_row):
+            assert np.array_equal(a, b)
 
 
-def test_shared_subgraph_gradient():
-    # diamond: y = (x*x) + (x*x) uses the same node twice
-    x = Tensor(1.5, requires_grad=True)
-    sq = x * x
-    grads = backward(sq + sq)
-    assert np.allclose(grads[x], 6.0)
+def test_matmul_gradients(tiny_model, tiny_adapters):
+    # last layer, against sums of per-row outer products
+    adapters, gate = tiny_adapters
+    warm(adapters)
+    z = seeded_gaussian((3, 4), 4, 0)
+    g = seeded_gaussian((3, 4), 4, 1)
+    grads, cache = _grads(tiny_model, z, [1, 2, 1], [50, 20, 0], g)
+    h = cache[-1][0]
+    assert np.allclose(grads[3], sum(np.outer(g[r], h[r]) for r in range(3)), atol=1e-12)
+    assert np.allclose(grads[7], g[0] + g[1] + g[2], atol=1e-12)
 
-
-def test_untracked_constants_ignored():
-    x = Tensor(2.0, requires_grad=True)
-    c = Tensor(5.0)
-    grads = backward((x * c).sum())
-    assert c not in grads
-    assert np.allclose(grads[x], 5.0)
-
-
-@given(hnp.arrays(np.float64, st.integers(1, 8),
-                  elements=st.floats(-10, 10, allow_nan=False)))
-@settings(max_examples=50, deadline=None)
-def test_sum_gradient_is_ones(data):
-    x = Tensor(data, requires_grad=True)
-    grads = backward(x.sum())
-    assert np.array_equal(grads[x], np.ones_like(data))
-
-
-@given(hnp.arrays(np.float64, st.integers(1, 8),
-                  elements=st.floats(-5, 5, allow_nan=False)))
-@settings(max_examples=50, deadline=None)
-def test_mean_gradient_is_uniform(data):
-    x = Tensor(data, requires_grad=True)
-    grads = backward(x.mean())
-    assert np.allclose(grads[x], 1.0 / data.size)
+    grads, cache = _grads(tiny_model, z, [1, 2, 1], [50, 20, 0], g, adapters, gate)
+    mask, (h, u) = cache[0][1], cache[-1][:2]
+    g_u = [(adapters.B[3].T @ g[r]) * mask[r] for r in range(3)]
+    assert np.allclose(grads[7], sum(np.outer(g[r], u[r]) for r in range(3)), atol=1e-12)
+    assert np.allclose(grads[3], sum(np.outer(g_u[r], h[r]) for r in range(3)), atol=1e-12)

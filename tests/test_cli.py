@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from anomgen import cli
-from anomgen.autodiff import Tensor
 from anomgen.optim import Adam, adam_step
 from anomgen.trainer import DivergenceError
 
@@ -269,6 +268,16 @@ def _no_sample_runs(stack, tmp, monkeypatch):
     return _unknown_condition(stack, tmp, monkeypatch)[:-2] + ["--n", "0"]
 
 
+def _too_many_sample_runs(stack, tmp, monkeypatch):
+    # run 10000 of one condition would take the seed of run 0 of the next
+    return _unknown_condition(stack, tmp, monkeypatch)[:-2] + ["--n", "10001"]
+
+
+def _missing_samples_dir(stack, tmp, monkeypatch):
+    return ["eval", "--data", str(stack["data"]), "--maps", str(stack["data"]),
+            "--samples", str(tmp / "samplez")]
+
+
 def _unknown_split(stack, tmp, monkeypatch):
     return ["localize", "--ref", str(stack["pre"] / "reference.ckpt"),
             "--adapters", str(stack["al"] / "adapters.ckpt"), "--data", str(stack["data"]),
@@ -285,7 +294,7 @@ def _non_finite_gradient(stack, tmp, monkeypatch):
 
 
 def _nan_adam_step(*a, **kw):
-    p = Tensor(np.zeros(2), requires_grad=True)
+    p = np.zeros(2)
     adam_step(Adam([p], learning_rate=0.1), grads=[np.array([np.nan, 0.0])])
 
 
@@ -294,6 +303,8 @@ def _nan_adam_step(*a, **kw):
     (_string_typed_config, cli.EXIT_BAD_CONFIG, "steps='5' is not of type int"),
     (_unknown_condition, cli.EXIT_BAD_CONFIG, "valid: all, stripes_scratch"),
     (_no_sample_runs, cli.EXIT_BAD_CONFIG, "n must be >= 1"),
+    (_too_many_sample_runs, cli.EXIT_BAD_CONFIG, "n must be <= 10000"),
+    (_missing_samples_dir, cli.EXIT_MISSING_INPUT, "samplez"),
     (_unknown_split, cli.EXIT_BAD_CONFIG, "valid: normal, reference, eval"),
     (_single_step_schedule, cli.EXIT_BAD_CONFIG, "T must be >= 2"),
     (_non_finite_gradient, cli.EXIT_DIVERGED, "non-finite gradient"),

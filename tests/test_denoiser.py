@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from anomgen.autodiff import Tensor, backward, zero_grads
+from anomgen.autodiff import backward, zero_grads
 from anomgen.denoiser import (Denoiser, LoraStack, TemporalGate, effective_delta,
                               gate_dims, gate_matrix, load_adapters, load_reference,
                               predict_noise, save_adapters, save_reference,
                               sinusoidal_embedding)
 from anomgen.rng import seeded_gaussian
 
-from conftest import directional_derivative, grad_dot
+from conftest import directional_derivative, grad_dot, random_direction, warm
 
 
 # -- temporal gate -------------------------------------------------------------
@@ -59,29 +59,29 @@ def test_gate_validation():
 def test_lora_zero_init_delta():
     adapters = LoraStack([(8, 4), (4, 8)], rank=4, seed=0)
     for B in adapters.B:
-        assert np.array_equal(B.data, np.zeros_like(B.data))
-    assert np.array_equal(adapters.layer_delta(0, np.ones(4)).data, np.zeros((8, 4)))
+        assert np.array_equal(B, np.zeros_like(B))
+    assert np.array_equal(adapters.layer_delta(0, np.ones(4)), np.zeros((8, 4)))
 
 
 def test_gate_annihilation():
     adapters = LoraStack([(3, 3)], rank=2, seed=1)
-    adapters.B[0].data = seeded_gaussian((3, 2), 2, 0)
+    adapters.B[0] = seeded_gaussian((3, 2), 2, 0)
     g = TemporalGate(k_min=1, k_max=2, T=10)
     assert np.array_equal(
-        adapters.layer_delta(0, np.zeros(2)).data, np.zeros((3, 3)))
+        adapters.layer_delta(0, np.zeros(2)), np.zeros((3, 3)))
 
 
 def test_effective_delta_rank_one_oracle():
     adapters = LoraStack([(2, 2)], rank=2, seed=0)
-    adapters.A[0].data = np.array([[1.0, 2.0], [3.0, 4.0]])
-    adapters.B[0].data = np.array([[1.0, 0.0], [0.0, 1.0]])
+    adapters.A[0] = np.array([[1.0, 2.0], [3.0, 4.0]])
+    adapters.B[0] = np.array([[1.0, 0.0], [0.0, 1.0]])
     g = TemporalGate(k_min=1, k_max=2, T=10)
     # at t=T only the first rank direction is active: B[:,0] x A[0,:]
     out = effective_delta(adapters, g, 10)
     assert np.array_equal(out, np.outer([1.0, 0.0], [1.0, 2.0]))
     # full mask at t=0 gives the complete product
     assert np.array_equal(effective_delta(adapters, g, 0),
-                          adapters.B[0].data @ adapters.A[0].data)
+                          adapters.B[0] @ adapters.A[0])
 
 
 def test_effective_delta_rank_mismatch():
@@ -125,7 +125,7 @@ def test_conditioning_matters(tiny_model):
 
 
 def test_null_token_row_is_zero(tiny_model):
-    assert np.array_equal(tiny_model.cond_table.data[0], np.zeros(8))
+    assert np.array_equal(tiny_model.cond_table[0], np.zeros(8))
 
 
 def test_forward_errors(tiny_model, tiny_adapters):
@@ -149,32 +149,26 @@ def test_time_embedding_shape_and_range():
 def test_adapter_gradients_match_finite_differences(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
     for layer in range(4):
-        adapters.B[layer].data = seeded_gaussian(adapters.B[layer].data.shape, 5, layer) * 0.1
-    z = seeded_gaussian((4,), 6, 0)
+        adapters.B[layer] = seeded_gaussian(adapters.B[layer].shape, 5, layer) * 0.1
+    z = seeded_gaussian((1, 4), 6, 0)
     for seed, t in [(0, 3), (1, 25), (2, 49)]:
-        def loss():
-            return tiny_model.forward(z, 1, t, adapters=adapters, gate=gate).mean()
+        def loss(cache=None):
+            return np.mean(tiny_model.forward(z, 1, t, adapters=adapters, gate=gate, cache=cache))
 
-        grads = backward(loss())
-        params = adapters.params
-        direction = [seeded_gaussian(p.data.shape, seed + 77, i)
-                     for i, p in enumerate(params)]
-        fd = directional_derivative(lambda: loss().data, params, direction)
-        an = grad_dot(grads, params, direction)
-        zero_grads(params)
+        cache = []
+        loss(cache)
+        grads = zero_grads(adapters.params)
+        backward(tiny_model, cache, np.full((1, 4), 0.25), grads, adapters=adapters)
+        direction = random_direction(adapters.params, seed + 77)
+        fd = directional_derivative(loss, adapters.params, direction)
+        an = grad_dot(grads, direction)
         assert abs(fd - an) / max(abs(fd), abs(an), 1e-10) < 1e-4
-
-
-def _warm(adapters, seed=5, scale=0.3):
-    for layer in range(len(adapters.B)):
-        adapters.B[layer].data = seeded_gaussian(adapters.B[layer].data.shape, seed, layer) * scale
-    return adapters
 
 
 @pytest.mark.parametrize("adapted", [False, True])
 def test_batch_forward_matches_single_rows(tiny_model, tiny_adapters, adapted):
     adapters, gate = tiny_adapters
-    adapters = _warm(adapters) if adapted else None
+    adapters = warm(adapters) if adapted else None
     z = seeded_gaussian((5, 4), 21, 0)
     tokens = [0, 2, 1, 1, 0]
     ts = [1, 50, 17, 0, 33]
@@ -188,7 +182,7 @@ def test_batch_forward_matches_single_rows(tiny_model, tiny_adapters, adapted):
 
 def test_shared_token_and_timestep_broadcast(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
-    _warm(adapters)
+    warm(adapters)
     z = seeded_gaussian((3, 4), 22, 0)
     shared = predict_noise(tiny_model, adapters, z, 2, 9, gate=gate)
     per_row = predict_noise(tiny_model, adapters, z, [2, 2, 2], [9, 9, 9], gate=gate)
@@ -201,12 +195,12 @@ def test_shared_token_and_timestep_broadcast(tiny_model, tiny_adapters):
 
 def test_unmerged_forward_matches_merged_weights(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
-    _warm(adapters)
+    warm(adapters)
     z = seeded_gaussian((4,), 23, 0)
     for t in (0, 12, 37, 50):
         merged = Denoiser(latent_dim=4, hidden=8, n_tokens=3, seed=0)
         for layer, w in enumerate(merged.weights):
-            w.data = w.data + effective_delta(adapters, gate, t, layer=layer)
+            w += effective_delta(adapters, gate, t, layer=layer)
         expect = predict_noise(merged, None, z, 1, t)
         got = predict_noise(tiny_model, adapters, z, 1, t, gate=gate)
         assert np.max(np.abs(got - expect)) <= 1e-12
@@ -214,39 +208,46 @@ def test_unmerged_forward_matches_merged_weights(tiny_model, tiny_adapters):
 
 def test_masked_directions_zero_gradient_in_mixed_t_batch(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters  # k(t) = 1 + floor(3 (50 - t) / 50)
-    _warm(adapters)
-    tiny_model.set_trainable(False)
+    warm(adapters)
     ts = [50, 40, 30]
     z = seeded_gaussian((3, 4), 24, 0)
-    grads = backward(tiny_model.forward(z, [1, 2, 1], ts, adapters=adapters, gate=gate).sum())
+    cache = []
+    tiny_model.forward(z, [1, 2, 1], ts, adapters=adapters, gate=gate, cache=cache)
+    grads = zero_grads(adapters.params)
+    backward(tiny_model, cache, np.ones((3, 4)), grads, adapters=adapters)  # d sum / d out
     widest = max(gate_dims(gate, t) for t in ts)
     assert widest == 2
     for layer in range(4):
-        ga, gb = grads[adapters.A[layer]], grads[adapters.B[layer]]
+        ga, gb = grads[layer], grads[4 + layer]
         assert np.all(ga[widest:] == 0.0) and np.all(gb[:, widest:] == 0.0)
         assert np.any(ga[:widest] != 0.0) and np.any(gb[:, :widest] != 0.0)
 
 
 def test_loaded_checkpoints_are_frozen(tmp_path, tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
-    _warm(adapters)
+    warm(adapters)
     save_reference(tmp_path / "ref.ckpt", tiny_model, "linear", 50)
     save_adapters(tmp_path / "ad.ckpt", adapters, gate, "linear", 50, tiny_model)
     model, _, _ = load_reference(tmp_path / "ref.ckpt")
     loaded, lgate, _, _ = load_adapters(tmp_path / "ad.ckpt", model)
-    assert not any(p.requires_grad for p in model.params + loaded.params)
+    assert all(type(p) is np.ndarray for p in model.params + loaded.params)
     z = seeded_gaussian((2, 4), 25, 0)
-    assert model.forward(z, 1, 7)._parents == ()
-    assert model.forward(z, 1, 7, adapters=loaded, gate=lgate)._parents == ()
+    assert type(model.forward(z, 1, 7)) is np.ndarray
+    assert type(model.forward(z, 1, 7, adapters=loaded, gate=lgate)) is np.ndarray
 
 
 def test_reference_weights_not_leaves_when_frozen(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
-    tiny_model.set_trainable(False)
-    z = seeded_gaussian((4,), 1, 1)
-    grads = backward(tiny_model.forward(z, 1, 10, adapters=adapters, gate=gate).sum())
-    for p in tiny_model.params:
-        assert p not in grads
+    z = seeded_gaussian((1, 4), 1, 1)
+    before = [p.copy() for p in tiny_model.params]
+    cache = []
+    tiny_model.forward(z, 1, 10, adapters=adapters, gate=gate, cache=cache)
+    grads = zero_grads(adapters.params)
+    backward(tiny_model, cache, np.ones((1, 4)), grads, adapters=adapters)
+    # one buffer per adapter factor, none for the reference, whose arrays stay as they were
+    assert [g.shape for g in grads] == [p.shape for p in adapters.params]
+    for p, b in zip(tiny_model.params, before):
+        assert np.array_equal(p, b)
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -258,19 +259,19 @@ def test_reference_checkpoint_roundtrip(tmp_path, tiny_model):
     loaded, kind, T = load_reference(path)
     assert (kind, T) == ("linear", 50)
     for a, b in zip(loaded.params, tiny_model.params):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
 
 def test_adapter_checkpoint_roundtrip(tmp_path, tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
-    adapters.B[0].data = seeded_gaussian(adapters.B[0].data.shape, 9, 0)
+    adapters.B[0] = seeded_gaussian(adapters.B[0].shape, 9, 0)
     path = tmp_path / "ad.ckpt"
     save_adapters(path, adapters, gate, "linear", 50, tiny_model)
     loaded, lgate, kind, T = load_adapters(path, tiny_model)
     assert (kind, T) == ("linear", 50)
     assert (lgate.k_min, lgate.k_max, lgate.T) == (gate.k_min, gate.k_max, 50)
     for a, b in zip(loaded.params, adapters.params):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_role_mismatch(tmp_path, tiny_model, tiny_adapters):

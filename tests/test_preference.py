@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from anomgen import preference, schedule as sched
-from anomgen.autodiff import Tensor, backward
 from anomgen.preference import (GaussianStep, alignment_deviation,
                                 analytic_step_kl_difference, apo_loss,
                                 bt_preference_prob, mc_deviation_estimate,
@@ -65,14 +64,22 @@ def test_apo_loss_invalid_beta():
 
 
 def test_apo_loss_tensor_path_matches_float():
-    for d in (-3.0, -0.1, 0.0, 0.5, 4.0):
-        t = Tensor(np.array(d), requires_grad=True)
-        out = apo_loss(t, 1.7)
-        assert abs(float(out.data) - apo_loss(d, 1.7)) < 1e-12
-        grads = backward(out)
-        # d/dd softplus(b*d) = b * sigmoid(b*d)
-        expect = 1.7 / (1.0 + np.exp(-1.7 * d))
-        assert abs(float(grads[t]) - expect) < 1e-12
+    ds = np.array([-3.0, -0.1, 0.0, 0.5, 4.0])
+    rows, grad = apo_loss(ds, 1.7, grad=True)
+    assert rows.shape == grad.shape == (5,)
+    for i, d in enumerate(ds):
+        assert abs(rows[i] - apo_loss(d, 1.7)) < 1e-12
+        # d/dd mean_i softplus(b*d_i) = b * sigmoid(b*d) / n
+        expect = 1.7 / (1.0 + np.exp(-1.7 * d)) / len(ds)
+        assert abs(grad[i] - expect) < 1e-12
+    # one weight per row
+    betas = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+    rows, grad = apo_loss(ds, betas, grad=True)
+    for i, (d, b) in enumerate(zip(ds, betas)):
+        assert abs(rows[i] - apo_loss(d, b)) < 1e-12
+        assert abs(grad[i] - b / (1.0 + np.exp(-b * d)) / len(ds)) < 1e-12
+    _, g1 = apo_loss(0.5, 1.7, grad=True)
+    assert abs(float(g1) - 1.7 / (1.0 + np.exp(-1.7 * 0.5))) < 1e-12
 
 
 def test_sd_loss_examples_and_oracle():
@@ -88,12 +95,12 @@ def test_sd_loss_examples_and_oracle():
 
 
 def test_sd_loss_tensor_path():
-    a = Tensor(seeded_gaussian((8,), 3, 0), requires_grad=True)
-    b = seeded_gaussian((8,), 3, 1)
-    out = sd_loss(a, b)
-    assert abs(float(out.data) - sd_loss(a.data, b)) < 1e-15
-    grads = backward(out)
-    assert np.allclose(grads[a], 2.0 * (a.data - b) / 8.0)
+    a = seeded_gaussian((2, 8), 3, 0)
+    b = seeded_gaussian((2, 8), 3, 1)
+    out, grad = sd_loss(a, b, grad=True)
+    assert out == sd_loss(a, b)
+    assert abs(out - np.mean((a - b) ** 2)) < 1e-15
+    assert np.allclose(grad, 2.0 * (a - b) / 16.0)
 
 
 def test_bt_preference_prob():

@@ -19,7 +19,7 @@ def small():
 def warm_adapters(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
     for i in range(len(adapters.B)):
-        adapters.B[i].data = seeded_gaussian(adapters.B[i].data.shape, 11, i) * 0.3
+        adapters.B[i] = seeded_gaussian(adapters.B[i].shape, 11, i) * 0.3
     return adapters, gate
 
 

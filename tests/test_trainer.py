@@ -47,11 +47,11 @@ def test_config_validation():
 def test_pretrain_zero_steps_no_op(sched_tiny):
     cfg = TrainConfig(steps=0, learning_rate=1e-3, seed=0)
     base = Denoiser(latent_dim=4, seed=0)
-    before = [p.data.copy() for p in base.params]
+    before = [p.copy() for p in base.params]
     model, log = pretrain_reference(_normal_set(), cfg, sched_tiny, model=base)
     assert log.records == []
     for p, b in zip(model.params, before):
-        assert np.array_equal(p.data, b)
+        assert np.array_equal(p, b)
 
 
 def test_pretrain_deterministic(sched_tiny):
@@ -59,7 +59,7 @@ def test_pretrain_deterministic(sched_tiny):
     m1, l1 = pretrain_reference(_normal_set(), cfg, sched_tiny)
     m2, l2 = pretrain_reference(_normal_set(), cfg, sched_tiny)
     for a, b in zip(m1.params, m2.params):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
     assert l1.records == l2.records
 
 
@@ -139,10 +139,10 @@ def test_align_first_loss_is_ln2(sched_tiny):
 
 def test_align_reference_frozen(sched_tiny):
     model, cfg = _ref(sched_tiny)
-    before = [p.data.copy() for p in model.params]
+    before = [p.copy() for p in model.params]
     align(model, _anomaly_set(), cfg, sched_tiny)
     for p, b in zip(model.params, before):
-        assert np.array_equal(p.data, b)
+        assert np.array_equal(p, b)
 
 
 def test_align_masked_rows_stay_zero(sched_tiny):
@@ -165,7 +165,7 @@ def test_align_deterministic_and_beta_t_logged(sched_tiny):
     a1, g1, l1 = align(model, _anomaly_set(), cfg, sched_tiny)
     a2, g2, l2 = align(model, _anomaly_set(), cfg, sched_tiny)
     for p, q in zip(a1.params, a2.params):
-        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p, q)
     assert l1.records == l2.records
     for r in l1.records:
         assert r["beta_t"] == sched.beta_weight(sched_tiny, cfg.beta, r["t"])
@@ -180,7 +180,7 @@ def test_align_empty_set(sched_tiny):
 
 def test_divergence_error(sched_tiny):
     model, _ = _ref(sched_tiny)
-    model.params[0].data[0, 0] = np.nan
+    model.params[0][0, 0] = np.nan
     cfg = TrainConfig(steps=1, learning_rate=1e-3, seed=0, k_min=1, k_max=4)
     with pytest.raises(DivergenceError):
         pretrain_reference(_normal_set(), cfg, sched_tiny, model=model)
