@@ -104,7 +104,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     spec = _SPECS[command]
     cfg = {k: d for k, (_t, d) in spec.items()}
     if args.config:
-        if not os.path.exists(args.config):
+        if not os.path.isfile(args.config):
             raise FileNotFoundError(f"missing config file: {args.config}")
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)

@@ -271,8 +271,16 @@ def load_dataset(root) -> dict[str, list[LabeledSample]]:
         raise FileNotFoundError(f"missing manifest: {path}")
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
+        raise ValueError(f"malformed manifest {path}: need an object with a 'samples' list")
     out: dict[str, list[LabeledSample]] = {"normal": [], "reference": [], "eval": []}
-    for e in manifest["samples"]:
+    keys = ("id", "category", "split", "token", "defect")
+    for n, e in enumerate(manifest["samples"]):
+        if not isinstance(e, dict) or not all(k in e for k in keys):
+            raise ValueError(f"malformed manifest {path}: sample {n} needs {', '.join(keys)}")
+        if e["split"] not in tuple(out):  # a tuple, so an unhashable split cannot raise
+            raise ValueError(f"malformed manifest {path}: sample {n} has split {e['split']!r}; "
+                             f"valid: {', '.join(out)}")
         d = os.path.join(root, e["category"], e["split"])
         img = read_pgm(os.path.join(d, f"{e['id']}.pgm"))
         mask = None

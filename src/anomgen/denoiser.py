@@ -59,9 +59,9 @@ def gate_matrix(gate: TemporalGate, t) -> np.ndarray:
 class LoraStack:
     """Per-layer low-rank factors; B starts at zero so the initial update vanishes."""
 
-    def __init__(self, layer_shapes, rank: int, seed: int, stream_base: int = 900):
+    def __init__(self, layer_shapes, rank: int, seed: int):
         self.rank = int(rank)
-        self.A = [seeded_gaussian((rank, in_dim), seed, stream_base + 2 * i) / np.sqrt(rank)
+        self.A = [seeded_gaussian((rank, in_dim), seed, 900 + 2 * i) / np.sqrt(rank)
                   for i, (_out_dim, in_dim) in enumerate(layer_shapes)]
         self.B = [np.zeros((out_dim, rank)) for out_dim, _in_dim in layer_shapes]
 
@@ -83,10 +83,10 @@ def effective_delta(adapter: LoraStack, gate: TemporalGate, t: int, layer: int =
     return adapter.layer_delta(layer, gate_matrix(gate, t))
 
 
-def sinusoidal_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
+def sinusoidal_embedding(t, dim: int) -> np.ndarray:
     """Embedding of a timestep, shape (dim,); an array of timesteps adds leading axes."""
     half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = np.multiply.outer(np.asarray(t, dtype=np.float64), freqs)
     pad = np.zeros(ang.shape[:-1] + (dim - 2 * half,))
     return np.concatenate([np.cos(ang), np.sin(ang), pad], axis=-1)
@@ -98,11 +98,10 @@ class Denoiser:
     N_LAYERS = 4
 
     def __init__(self, latent_dim: int = 256, hidden: int = 256, n_tokens: int = 10,
-                 seed: int = 0, time_max_period: float = 10000.0):
+                 seed: int = 0):
         self.latent_dim = int(latent_dim)
         self.hidden = int(hidden)
         self.n_tokens = int(n_tokens)
-        self.time_max_period = float(time_max_period)
 
         dims = [(hidden, latent_dim), (hidden, hidden), (hidden, hidden), (latent_dim, hidden)]
         self.weights = [seeded_gaussian((out_dim, in_dim), seed, 100 + i) / np.sqrt(in_dim)
@@ -152,8 +151,7 @@ class Denoiser:
         if bad.size:
             raise ValueError(f"unknown token: {int(bad.flat[0])}")
         # a shared token or timestep gives one row that broadcasts over the batch
-        emb = self.cond_table[tokens] + sinusoidal_embedding(ts, self.hidden,
-                                                             self.time_max_period)
+        emb = self.cond_table[tokens] + sinusoidal_embedding(ts, self.hidden)
         mask = gate_matrix(gate, ts) if adapters is not None else None
         if cache is not None:
             cache.append((tokens, mask))

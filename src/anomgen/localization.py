@@ -1,8 +1,8 @@
 """Deviation-guided anomaly localization.
 
-Per-step alignment deviations from a sampling trajectory are reduced to
-pointwise magnitudes, weighted by the active adapter rank k(t),
-upsampled to image resolution and averaged into a raw map M.  Min-max
+Each step's alignment deviation is reduced, as it arrives, to pointwise
+magnitudes, weighted by the active adapter rank k(t), upsampled to image
+resolution and added into a running mean, the raw map M.  Min-max
 normalization followed by a fixed 3x3 binomial blur turns M into a
 probability map P in [0, 1].
 """
@@ -45,22 +45,23 @@ def upsample_bilinear(m: np.ndarray, target_dims) -> np.ndarray:
     return top * (1 - fy)[:, None] + bot * fy[:, None]
 
 
-def accumulate_map(run, gate: TemporalGate, target_dims) -> np.ndarray:
-    """M = (1/steps) * sum_t k(t) * Upsample(|delta_align(z_t)|).
+def accumulate_map(steps, gate: TemporalGate, target_dims) -> np.ndarray:
+    """M = (1/n) * sum over the n steps of k(t) * Upsample(|delta_align(z_t)|).
 
-    A run of (B, D) deltas gives B maps; they are summed one step at a
-    time, so no per-step upsampled stack is held.
+    steps is any iterable of (t, delta) pairs, such as deviation_run; a
+    (B, D) delta gives B maps.  Each pair is added as it arrives, so
+    neither the deltas nor a per-step upsampled stack is held.
     """
-    steps = list(zip(run.timesteps, run.delta_align))
-    if not steps:
-        raise ValueError("empty trajectory")
-    total = 0.0
+    total, n = 0.0, 0
     for t, d in steps:
         mag = np.abs(np.asarray(d, dtype=np.float64))
         side = int(round(np.sqrt(mag.shape[-1])))
         mag = mag.reshape(mag.shape[:-1] + (side, side))
         total = total + gate_dims(gate, int(t)) * upsample_bilinear(mag, target_dims)
-    return total / len(steps)
+        n += 1
+    if not n:
+        raise ValueError("empty trajectory")
+    return total / n
 
 
 def smooth(m: np.ndarray) -> np.ndarray:

@@ -12,13 +12,9 @@ class DivergenceError(RuntimeError):
 class Adam:
     """First/second moment accumulators, one pair per parameter, and the step count."""
 
-    def __init__(self, params, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, learning_rate: float):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
@@ -44,10 +40,10 @@ def adam_step(opt: Adam, grads) -> None:
 
     opt.step_count += 1
     t = opt.step_count
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     for i, (p, g) in enumerate(zip(params, grads)):
         opt.m[i] = b1 * opt.m[i] + (1.0 - b1) * g
         opt.v[i] = b2 * opt.v[i] + (1.0 - b2) * g * g
         m_hat = opt.m[i] / (1.0 - b1**t)
         v_hat = opt.v[i] / (1.0 - b2**t)
-        p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+        p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + eps)

@@ -135,9 +135,9 @@ def run_sample(cfg: dict) -> None:
     for cname in valid if name == "all" else [name]:
         token = dataset.token_from_name(cname)
         seeds = [cfg["seed"] + _SEEDS_PER_TOKEN * token + i for i in range(n)]
-        run = sampler.sample(model, adapters, gate, token, guidance, s, seeds)
-        sampler.save_run(run, [os.path.join(cfg["out"], cname, f"run_{i:03d}")
-                               for i in range(n)], decode=dataset.decode_latent)
+        z, timesteps, norms = sampler.sample(model, adapters, gate, token, guidance, s, seeds)
+        sampler.save_run(z, timesteps, norms, [os.path.join(cfg["out"], cname, f"run_{i:03d}")
+                                               for i in range(n)], decode=dataset.decode_latent)
 
 
 def run_localize(cfg: dict) -> None:
@@ -150,9 +150,9 @@ def run_localize(cfg: dict) -> None:
     maps = []
     if samples:
         z0 = np.stack([dataset.encode_latent(x.image) for x in samples])
-        run = sampler.deviation_run(model, adapters, gate, z0, [x.token for x in samples],
-                                    cfg["steps"], s, cfg["seed"])
-        maps = localization.accumulate_map(run, gate, samples[0].image.shape)
+        steps = sampler.deviation_run(model, adapters, gate, z0, [x.token for x in samples],
+                                      cfg["steps"], s, cfg["seed"])
+        maps = localization.accumulate_map(steps, gate, samples[0].image.shape)
     os.makedirs(cfg["out"], exist_ok=True)
     for sample_, m in zip(samples, maps):
         p = localization.normalize_and_smooth(m)

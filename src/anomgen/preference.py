@@ -79,11 +79,7 @@ def bt_preference_prob(delta: float, beta_t: float) -> float:
     """sigmoid(-beta_t * delta): probability the policy is preferred."""
     if beta_t <= 0:
         raise ValueError("beta_t must be > 0")
-    x = -beta_t * float(delta)
-    if x >= 0:
-        return float(1.0 / (1.0 + np.exp(-x)))
-    ex = np.exp(x)
-    return float(ex / (1.0 + ex))
+    return float(sigmoid(np.float64(-beta_t * float(delta))))
 
 
 def analytic_step_kl_difference(step: GaussianStep) -> float:

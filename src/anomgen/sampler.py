@@ -2,15 +2,16 @@
 
 The guided noise prediction stacks the unconditional prior, the
 class-conditional delta of the frozen reference, and the alignment delta
-contributed by the adapters.  The alignment delta is recorded at every
-visited step regardless of the guidance scales; localization consumes it.
+contributed by the adapters.  The alignment delta is reduced at every
+visited step regardless of the guidance scales: sample keeps each row's
+L2 norm, and deviation_run yields it to the localization map.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,23 +45,6 @@ class GuidanceConfig:
             raise ValueError("eta must be in [0, 1]")
         if self.z0_clip is not None and self.z0_clip <= 0:
             raise ValueError("z0_clip must be > 0")
-
-
-@dataclass
-class SampleRun:
-    """A batch of trajectories; row b of every recorded (B, D) array is one image.
-
-    latents holds the generated trajectory, initial noise first; deviation
-    runs of existing latents leave it empty.
-    """
-
-    timesteps: list[int] = field(default_factory=list)
-    latents: list[np.ndarray] = field(default_factory=list)
-    delta_align: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def final_latent(self) -> np.ndarray:
-        return self.latents[-1]
 
 
 def guided_eps(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate | None,
@@ -119,12 +103,12 @@ def visit_schedule(T: int, steps: int) -> list[int]:
 
 
 def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate | None,
-           c: int, guidance: GuidanceConfig, s: sched.NoiseSchedule, seeds) -> SampleRun:
+           c: int, guidance: GuidanceConfig, s: sched.NoiseSchedule, seeds):
     """Generate one latent per seed from pure noise under hierarchical guidance.
 
-    The runs share the condition and advance together: each visited step
-    makes one call per guidance branch over all rows, and row b draws its
-    noise from the keys of seeds[b] alone.
+    Returns the final latents (B, D), the visited timesteps and each step's
+    B row norms ||delta_align||_2.  All runs advance together, one call per
+    guidance branch per step, and row b draws its noise from seeds[b] alone.
     """
     seeds = [int(x) for x in seeds]
     if not seeds:
@@ -132,45 +116,38 @@ def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate |
     shape = (reference.latent_dim,)
     visits = visit_schedule(s.T, guidance.steps)
     z = np.stack([seeded_gaussian(shape, seed, _S_INIT) for seed in seeds])
-    run = SampleRun(latents=[z])
+    norms = []
     for i, t in enumerate(visits):
         e_hat, d_align = guided_eps(reference, adapters, gate, z, c, t, guidance)
-        run.timesteps.append(t)
-        run.delta_align.append(d_align)
+        norms.append([float(np.linalg.norm(row)) for row in d_align])
         t_prev = visits[i + 1] if i + 1 < len(visits) else 0
         noise = None
         if guidance.eta > 0.0 and t_prev > 0:
             noise = np.stack([seeded_gaussian(shape, seed, _S_STEP_NOISE + i) for seed in seeds])
         z = ddim_step(s, z, e_hat, t, t_prev, guidance.eta, noise,
                       z0_clip=guidance.z0_clip)
-        run.latents.append(z)
-    return run
+    return z, visits, norms
 
 
 def deviation_run(reference: Denoiser, adapters: LoraStack, gate: TemporalGate,
-                  z0: np.ndarray, c, steps: int,
-                  s: sched.NoiseSchedule, seed: int) -> SampleRun:
-    """Alignment-deviation trajectories for existing latents z0 (B, D).
+                  z0: np.ndarray, c, steps: int, s: sched.NoiseSchedule, seed: int):
+    """Yield (t, delta_align) per visited level for existing latents z0 (B, D).
 
     Every row is forward-noised to each of the `steps` visited levels with
-    the same fresh noise and the policy/reference disagreement is recorded
-    there; c is one token per row or one for all.  No guidance scale enters:
-    the deviation is the raw alignment delta.  Used to localize anomalies in
-    real images rather than generated ones.
+    the same fresh noise, and the (B, D) policy/reference disagreement there
+    is yielded before the next level is visited; c is one token per row or
+    one for all.  No guidance scale enters.  Used to localize anomalies in
+    real images rather than generated ones; bad arguments raise on first use.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.ndim != 2:
         raise ValueError("deviation_run takes a (B, D) batch of latents")
-    visits = visit_schedule(s.T, steps)
-    run = SampleRun()
-    for i, t in enumerate(visits):
+    for i, t in enumerate(visit_schedule(s.T, steps)):
         eps = seeded_gaussian(z0.shape[1:], seed, _S_DEVIATION + i)
         z_t = sched.forward_noise(s, z0, t, np.broadcast_to(eps, z0.shape))
         e_cond = predict_noise(reference, None, z_t, c, t)
         e_policy = predict_noise(reference, adapters, z_t, c, t, gate=gate)
-        run.timesteps.append(t)
-        run.delta_align.append(e_policy - e_cond)
-    return run
+        yield t, e_policy - e_cond
 
 
 def guided_log_density_check(s: sched.NoiseSchedule, z_t: np.ndarray, z_prev: np.ndarray,
@@ -214,17 +191,16 @@ def guided_log_density_check(s: sched.NoiseSchedule, z_t: np.ndarray, z_prev: np
     return float(quad(z_prev) - quad(np.zeros_like(z_prev)))
 
 
-def save_run(run: SampleRun, outdirs, decode=None) -> None:
-    """Persist row b of a run to outdirs[b]: final image and per-step delta norms."""
+def save_run(z: np.ndarray, timesteps, norms, outdirs, decode=None) -> None:
+    """Persist row b of sample's (z, timesteps, norms) to outdirs[b]: image and delta norms."""
     outdirs = list(outdirs)
-    if len(outdirs) != len(run.final_latent):
+    if len(outdirs) != len(z):
         raise ValueError("need one output directory per run")
     for b, outdir in enumerate(outdirs):
         os.makedirs(outdir, exist_ok=True)
         if decode is not None:
-            write_pgm(os.path.join(outdir, "sample.pgm"), decode(run.final_latent[b]))
+            write_pgm(os.path.join(outdir, "sample.pgm"), decode(z[b]))
         with open(os.path.join(outdir, "delta_norms.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "delta_align_l2"])
-            for t, d in zip(run.timesteps, run.delta_align):
-                w.writerow([t, float(np.linalg.norm(d[b]))])
+            w.writerows([t, step[b]] for t, step in zip(timesteps, norms))

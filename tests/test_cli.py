@@ -284,6 +284,41 @@ def _unknown_split(stack, tmp, monkeypatch):
             "--split", "bogus"]
 
 
+def _with_manifest(tmp, manifest):
+    root = tmp / "bad_data"
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return ["pretrain", "--data", str(root)]
+
+
+def _stack_manifest(stack):
+    return json.loads((stack["data"] / "manifest.json").read_text())
+
+
+def _manifest_without_samples(stack, tmp, monkeypatch):
+    return _with_manifest(tmp, {})
+
+
+def _manifest_not_an_object(stack, tmp, monkeypatch):
+    return _with_manifest(tmp, [])
+
+
+def _manifest_sample_without_category(stack, tmp, monkeypatch):
+    manifest = _stack_manifest(stack)
+    del manifest["samples"][0]["category"]
+    return _with_manifest(tmp, manifest)
+
+
+def _manifest_unknown_split(stack, tmp, monkeypatch):
+    manifest = _stack_manifest(stack)
+    manifest["samples"][0]["split"] = "test"
+    return _with_manifest(tmp, manifest)
+
+
+def _config_is_a_directory(stack, tmp, monkeypatch):
+    return ["pretrain", "--config", str(tmp), "--data", str(stack["data"])]
+
+
 def _single_step_schedule(stack, tmp, monkeypatch):
     return ["pretrain", "--data", str(stack["data"]), "--t-steps", "1"]
 
@@ -306,6 +341,13 @@ def _nan_adam_step(*a, **kw):
     (_too_many_sample_runs, cli.EXIT_BAD_CONFIG, "n must be <= 10000"),
     (_missing_samples_dir, cli.EXIT_MISSING_INPUT, "samplez"),
     (_unknown_split, cli.EXIT_BAD_CONFIG, "valid: normal, reference, eval"),
+    (_manifest_without_samples, cli.EXIT_BAD_CONFIG, "an object with a 'samples' list"),
+    (_manifest_not_an_object, cli.EXIT_BAD_CONFIG, "an object with a 'samples' list"),
+    (_manifest_sample_without_category, cli.EXIT_BAD_CONFIG,
+     "sample 0 needs id, category, split, token, defect"),
+    (_manifest_unknown_split, cli.EXIT_BAD_CONFIG,
+     "sample 0 has split 'test'; valid: normal, reference, eval"),
+    (_config_is_a_directory, cli.EXIT_MISSING_INPUT, "missing config file"),
     (_single_step_schedule, cli.EXIT_BAD_CONFIG, "T must be >= 2"),
     (_non_finite_gradient, cli.EXIT_DIVERGED, "non-finite gradient"),
 ])

@@ -5,7 +5,6 @@ from anomgen.denoiser import TemporalGate, gate_dims
 from anomgen.localization import (accumulate_map, normalize_and_smooth, smooth,
                                   upsample_bilinear)
 from anomgen.rng import seeded_gaussian
-from anomgen.sampler import SampleRun
 
 
 # -- upsampling ----------------------------------------------------------------
@@ -67,10 +66,7 @@ def test_upsample_downsample_error():
 
 
 def _run_with(timesteps, deltas):
-    r = SampleRun()
-    r.timesteps = list(timesteps)
-    r.delta_align = [np.asarray(d, dtype=np.float64) for d in deltas]
-    return r
+    return list(zip(timesteps, [np.asarray(d, dtype=np.float64) for d in deltas]))
 
 
 def test_accumulate_single_step_oracle():
@@ -103,6 +99,20 @@ def test_accumulate_empty_error():
     g = TemporalGate(k_min=1, k_max=4, T=10)
     with pytest.raises(ValueError):
         accumulate_map(_run_with([], []), g, (2, 2))
+    with pytest.raises(ValueError):
+        accumulate_map(iter(()), g, (2, 2))
+
+
+def test_accumulate_streams_a_one_shot_generator():
+    # pairs arrive one at a time and are not revisited; the sum is the list's, bit for bit
+    g = TemporalGate(k_min=2, k_max=8, T=100)
+    ts = [90, 50, 10]
+    deltas = [seeded_gaussian((3, 16), 5, i) for i in range(3)]
+    pairs = ((t, d) for t, d in zip(ts, deltas))
+    out = accumulate_map(pairs, g, (6, 6))
+    assert out.shape == (3, 6, 6)
+    assert np.array_equal(out, accumulate_map(_run_with(ts, deltas), g, (6, 6)))
+    assert next(pairs, None) is None
 
 
 # -- smoothing / normalization -------------------------------------------------

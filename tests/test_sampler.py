@@ -163,30 +163,29 @@ def test_visit_schedule():
 def test_sample_deterministic_and_shapes(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     cfg = GuidanceConfig(s_text=2.0, s_align=1.0, steps=10)
-    r1 = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[5])
-    r2 = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[5])
-    assert len(r1.latents) == 11
-    assert len(r1.delta_align) == 10
-    assert r1.final_latent.shape == (1, 4)
-    assert r1.timesteps == visit_schedule(50, 10)
-    for a, b in zip(r1.latents, r2.latents):
-        assert np.array_equal(a, b)
-    r3 = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[6])
-    assert not np.array_equal(r1.final_latent, r3.final_latent)
+    z1, ts1, norms1 = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[5])
+    z2, ts2, norms2 = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[5])
+    assert len(norms1) == 10 and all(len(step) == 1 for step in norms1)
+    assert z1.shape == (1, 4)
+    assert ts1 == ts2 == visit_schedule(50, 10)
+    assert np.array_equal(z1, z2)
+    assert norms1 == norms2
+    z3, _, _ = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[6])
+    assert not np.array_equal(z1, z3)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.6])
 def test_sample_batch_matches_single_seed_runs(tiny_model, warm_adapters, small, eta):
     adapters, gate = warm_adapters
     cfg = GuidanceConfig(s_text=2.0, s_align=1.0, steps=10, eta=eta)
-    both = sample(tiny_model, adapters, gate, 2, cfg, small, seeds=[3, 8])
+    z, ts, norms = sample(tiny_model, adapters, gate, 2, cfg, small, seeds=[3, 8])
     for row, seed in enumerate([3, 8]):
-        alone = sample(tiny_model, adapters, gate, 2, cfg, small, seeds=[seed])
-        assert alone.timesteps == both.timesteps
-        for a, b in zip(alone.latents, both.latents):
-            assert np.max(np.abs(a[0] - b[row])) <= 1e-12
-        for a, b in zip(alone.delta_align, both.delta_align):
-            assert np.max(np.abs(a[0] - b[row])) <= 1e-12
+        z1, ts1, norms1 = sample(tiny_model, adapters, gate, 2, cfg, small, seeds=[seed])
+        assert ts1 == ts
+        assert np.max(np.abs(z1[0] - z[row])) <= 1e-12
+        assert len(norms1) == len(norms)
+        for a, b in zip(norms1, norms):
+            assert abs(a[0] - b[row]) <= 1e-12
 
 
 def test_sample_needs_a_seed(tiny_model, warm_adapters, small):
@@ -198,44 +197,43 @@ def test_sample_needs_a_seed(tiny_model, warm_adapters, small):
 def test_sample_latents_bounded_by_clip(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     cfg = GuidanceConfig(s_text=2.0, s_align=1.0, steps=10, z0_clip=2.0)
-    run = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[1, 2, 3])
-    assert np.max(np.abs(run.final_latent)) <= 2.0
+    z, _, _ = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[1, 2, 3])
+    assert np.max(np.abs(z)) <= 2.0
 
 
 def test_sample_zero_adapters_zero_delta(tiny_model, tiny_adapters, small):
     adapters, gate = tiny_adapters  # B still zero-initialized
     cfg = GuidanceConfig(steps=5)
-    run = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[0, 1])
-    for d in run.delta_align:
-        assert np.array_equal(d, np.zeros((2, 4)))
+    _, ts, norms = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[0, 1])
+    assert norms == [[0.0, 0.0]] * len(ts)
 
 
 def test_deviation_run(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     z0 = seeded_gaussian((1, 4), 9, 0)
-    r1 = deviation_run(tiny_model, adapters, gate, z0, 2, 8, small, seed=3)
-    r2 = deviation_run(tiny_model, adapters, gate, z0, 2, 8, small, seed=3)
-    assert r1.timesteps == visit_schedule(50, 8)
-    assert r1.latents == []
-    for a, b in zip(r1.delta_align, r2.delta_align):
+    r1 = list(deviation_run(tiny_model, adapters, gate, z0, 2, 8, small, seed=3))
+    r2 = list(deviation_run(tiny_model, adapters, gate, z0, 2, 8, small, seed=3))
+    assert [t for t, _ in r1] == [t for t, _ in r2] == visit_schedule(50, 8)
+    for (_, a), (_, b) in zip(r1, r2):
         assert a.shape == (1, 4)
         assert np.array_equal(a, b)
-    assert any(np.any(d != 0.0) for d in r1.delta_align)
+    assert any(np.any(d != 0.0) for _, d in r1)
     with pytest.raises(ValueError, match="batch"):
-        deviation_run(tiny_model, adapters, gate, z0[0], 2, 8, small, seed=3)
+        list(deviation_run(tiny_model, adapters, gate, z0[0], 2, 8, small, seed=3))
     with pytest.raises(ValueError, match="steps must be >= 1"):
-        deviation_run(tiny_model, adapters, gate, z0, 2, 0, small, seed=3)
+        list(deviation_run(tiny_model, adapters, gate, z0, 2, 0, small, seed=3))
 
 
 def test_deviation_run_batch_matches_single_rows(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     z0 = seeded_gaussian((3, 4), 10, 0)
     tokens = [2, 1, 2]
-    both = deviation_run(tiny_model, adapters, gate, z0, tokens, 8, small, seed=4)
+    both = list(deviation_run(tiny_model, adapters, gate, z0, tokens, 8, small, seed=4))
     for row in range(3):
-        alone = deviation_run(tiny_model, adapters, gate, z0[row:row + 1], tokens[row],
-                              8, small, seed=4)
-        for a, b in zip(alone.delta_align, both.delta_align):
+        alone = list(deviation_run(tiny_model, adapters, gate, z0[row:row + 1], tokens[row],
+                                   8, small, seed=4))
+        assert [t for t, _ in alone] == [t for t, _ in both]
+        for (_, a), (_, b) in zip(alone, both):
             assert np.max(np.abs(a[0] - b[row])) <= 1e-12
 
 
@@ -265,24 +263,28 @@ def test_density_check_small_residual(tiny_model, warm_adapters, small):
 def test_save_load_run_roundtrip(tmp_path, tiny_model, warm_adapters, small):
     # each run directory holds the per-step t and ||delta_align||_2 and nothing else
     adapters, gate = warm_adapters
-    run = sample(tiny_model, adapters, gate, 1, GuidanceConfig(steps=6), small, seeds=[2, 7])
-    save_run(run, [tmp_path / "r0", tmp_path / "r1"])
+    cfg = GuidanceConfig(steps=6)
+    z, ts, norms = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[2, 7])
+    # the first step's norms are those of the delta at the initial noise
+    z_init = np.stack([seeded_gaussian((4,), seed, sampler._S_INIT) for seed in (2, 7)])
+    _, d = guided_eps(tiny_model, adapters, gate, z_init, 1, ts[0], cfg)
+    assert norms[0] == [float(np.linalg.norm(d[row])) for row in range(2)]
+    save_run(z, ts, norms, [tmp_path / "r0", tmp_path / "r1"])
     for row, name in enumerate(["r0", "r1"]):
         assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["delta_norms.csv"]
         with open(tmp_path / name / "delta_norms.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "delta_align_l2"]
-        assert [int(r[0]) for r in rows[1:]] == run.timesteps
-        norms = [float(r[1]) for r in rows[1:]]
-        assert norms == [float(np.linalg.norm(d[row])) for d in run.delta_align]
+        assert [int(r[0]) for r in rows[1:]] == ts
+        assert [float(r[1]) for r in rows[1:]] == [step[row] for step in norms]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r0", "r1"]
 
 
 def test_save_run_writes_image_when_decoding(tmp_path, tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
-    run = sample(tiny_model, adapters, gate, 1, GuidanceConfig(steps=3), small, seeds=[4])
-    save_run(run, [tmp_path / "r"], decode=lambda z: np.full((2, 2), 0.5))
+    z, ts, norms = sample(tiny_model, adapters, gate, 1, GuidanceConfig(steps=3), small, seeds=[4])
+    save_run(z, ts, norms, [tmp_path / "r"], decode=lambda latent: np.full((2, 2), 0.5))
     assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["delta_norms.csv",
                                                                   "sample.pgm"]
     with pytest.raises(ValueError, match="directory"):
-        save_run(run, [tmp_path / "a", tmp_path / "b"])
+        save_run(z, ts, norms, [tmp_path / "a", tmp_path / "b"])
