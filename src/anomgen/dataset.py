@@ -28,6 +28,8 @@ LATENT_DIM = LATENT_SIDE * LATENT_SIDE
 
 CATEGORIES = ("stripes", "checker", "gradient")
 DEFECTS = ("scratch", "spot", "patch")
+CONDITIONS = tuple(f"{c}_{d}" for c in CATEGORIES for d in DEFECTS)
+SPLITS = ("normal", "reference", "eval")
 
 MASK_EPS = 1e-6
 
@@ -111,8 +113,6 @@ def gen_normal(category: str, n: int, seed: int) -> list[np.ndarray]:
     """n deterministic jittered textures, pixel values in [0, 1]."""
     if category not in CATEGORIES:
         raise ValueError(f"unknown category: {category}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     u = seeded_uniform((n, 3), seed, 10 + CATEGORIES.index(category))
     return [_texture(category, u[i]) for i in range(n)]
 
@@ -176,10 +176,6 @@ def gen_anomaly(category: str, defect: DefectSpec | str, n: int, seed: int) -> l
 def split_few_shot(samples: list, fraction: float, seed: int) -> tuple[list, list]:
     """Deterministic shuffle, then ceil(fraction*n) reference / rest eval."""
     n = len(samples)
-    if n < 3:
-        raise ValueError("need at least 3 samples to split")
-    if not (0.0 < fraction < 1.0):
-        raise ValueError("fraction must be in (0, 1)")
     order = np.argsort(seeded_uniform((n,), seed, 77), kind="stable")
     n_ref = min(math.ceil(fraction * n), n - 1)
     ref_idx = set(order[:n_ref].tolist())
@@ -273,14 +269,20 @@ def load_dataset(root) -> dict[str, list[LabeledSample]]:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise ValueError(f"malformed manifest {path}: need an object with a 'samples' list")
-    out: dict[str, list[LabeledSample]] = {"normal": [], "reference": [], "eval": []}
-    keys = ("id", "category", "split", "token", "defect")
+    out: dict[str, list[LabeledSample]] = {split: [] for split in SPLITS}
+    # each key the loader reads, with the types its value may have
+    types = {"id": (str,), "category": (str,), "split": (str,), "token": (int, type(None)),
+             "defect": (str, type(None))}
     for n, e in enumerate(manifest["samples"]):
-        if not isinstance(e, dict) or not all(k in e for k in keys):
-            raise ValueError(f"malformed manifest {path}: sample {n} needs {', '.join(keys)}")
-        if e["split"] not in tuple(out):  # a tuple, so an unhashable split cannot raise
+        if not isinstance(e, dict) or not all(k in e for k in types):
+            raise ValueError(f"malformed manifest {path}: sample {n} needs {', '.join(types)}")
+        for k, ts in types.items():
+            if type(e[k]) not in ts:
+                raise ValueError(f"malformed manifest {path}: sample {n} has {k}={e[k]!r} "
+                                 f"of type {type(e[k]).__name__}")
+        if e["split"] not in SPLITS:
             raise ValueError(f"malformed manifest {path}: sample {n} has split {e['split']!r}; "
-                             f"valid: {', '.join(out)}")
+                             f"valid: {', '.join(SPLITS)}")
         d = os.path.join(root, e["category"], e["split"])
         img = read_pgm(os.path.join(d, f"{e['id']}.pgm"))
         mask = None

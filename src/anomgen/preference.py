@@ -51,8 +51,6 @@ def apo_loss(delta, beta_t, grad: bool = False):
     the gradient of the rows' mean with respect to delta.
     """
     beta_t = np.asarray(beta_t, dtype=np.float64)
-    if np.any(beta_t <= 0):
-        raise ValueError("beta_t must be > 0")
     x = np.asarray(delta, dtype=np.float64) * beta_t
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     out = float(out) if out.ndim == 0 else out
@@ -77,8 +75,6 @@ def sd_loss(eps_hat, eps, grad: bool = False):
 
 def bt_preference_prob(delta: float, beta_t: float) -> float:
     """sigmoid(-beta_t * delta): probability the policy is preferred."""
-    if beta_t <= 0:
-        raise ValueError("beta_t must be > 0")
     return float(sigmoid(np.float64(-beta_t * float(delta))))
 
 

@@ -38,14 +38,6 @@ class GuidanceConfig:
     # trajectory and the latents diverge
     z0_clip: float | None = 2.0
 
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError("eta must be in [0, 1]")
-        if self.z0_clip is not None and self.z0_clip <= 0:
-            raise ValueError("z0_clip must be > 0")
-
 
 def guided_eps(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate | None,
                z_t: np.ndarray, c: int, t: int,
@@ -96,8 +88,6 @@ def ddim_step(s: sched.NoiseSchedule, z_t: np.ndarray, eps_hat: np.ndarray,
 
 def visit_schedule(T: int, steps: int) -> list[int]:
     """Evenly spaced timesteps from T down to 1."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     ts = np.unique(np.round(np.linspace(T, 1, steps)).astype(int))[::-1]
     return [int(t) for t in ts if t >= 1]
 

@@ -32,8 +32,6 @@ class NoiseSchedule:
 def build_schedule(T: int, kind: str = "linear") -> NoiseSchedule:
     if T < 2:
         raise ValueError("T must be >= 2")
-    if kind not in KINDS:
-        raise ValueError(f"unknown schedule kind: {kind}")
 
     t = np.arange(T + 1, dtype=np.float64)
     if kind == "linear":
@@ -74,9 +72,7 @@ def log_snr_slope(s: NoiseSchedule, t: int) -> float:
 
 
 def beta_weight(s: NoiseSchedule, beta: float, t: int) -> float:
-    """Time-adaptive preference weight -0.5 * beta * slope; strictly positive."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    """Time-adaptive preference weight -0.5 * beta * slope; positive for beta > 0."""
     return -0.5 * beta * log_snr_slope(s, t)
 
 

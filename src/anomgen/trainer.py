@@ -40,16 +40,6 @@ class TrainConfig:
     k_min: int = 4
     k_max: int = 32
 
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if not (0.0 <= self.condition_dropout < 1.0):
-            raise ValueError("condition_dropout must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
 
 @dataclass
 class TrainLog:
@@ -182,9 +172,6 @@ def evaluate_mean_delta(reference: Denoiser, adapters: LoraStack, gate: Temporal
 def beta_sweep(reference: Denoiser, anomaly_set, config: TrainConfig, betas,
                s: sched.NoiseSchedule) -> list[dict]:
     """Run align once per beta with a shared seed; returns summary rows."""
-    betas = list(betas)
-    if not betas or any(b <= 0 for b in betas):
-        raise ValueError("betas must be non-empty and positive")
     rows = []
     for beta in betas:
         adapters, gate, log = align(reference, anomaly_set, replace(config, beta=beta), s)

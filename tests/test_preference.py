@@ -58,11 +58,6 @@ def test_apo_loss_monotone_in_delta():
     assert all(a < b for a, b in zip(losses, losses[1:]))
 
 
-def test_apo_loss_invalid_beta():
-    with pytest.raises(ValueError):
-        apo_loss(0.0, 0.0)
-
-
 def test_apo_loss_tensor_path_matches_float():
     ds = np.array([-3.0, -0.1, 0.0, 0.5, 4.0])
     rows, grad = apo_loss(ds, 1.7, grad=True)

@@ -27,20 +27,6 @@ def _ref(sched_tiny, steps=5):
     return model, cfg
 
 
-# -- config validation ---------------------------------------------------------
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(steps=-1, learning_rate=1e-3)
-    with pytest.raises(ValueError):
-        TrainConfig(steps=1, learning_rate=1e-3, beta=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(steps=1, learning_rate=1e-3, condition_dropout=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(steps=1, learning_rate=1e-3, batch_size=0)
-
-
 # -- pretraining ---------------------------------------------------------------
 
 
@@ -227,11 +213,3 @@ def test_beta_sweep_structure(sched_tiny):
     b1 = np.array([r["beta_t"] for r in rows[0]["log"].records])
     b2 = np.array([r["beta_t"] for r in rows[1]["log"].records])
     assert np.array_equal(2.0 * b1, b2)
-
-
-def test_beta_sweep_validation(sched_tiny):
-    model, cfg = _ref(sched_tiny)
-    with pytest.raises(ValueError):
-        beta_sweep(model, _anomaly_set(), cfg, [], sched_tiny)
-    with pytest.raises(ValueError):
-        beta_sweep(model, _anomaly_set(), cfg, [1000.0, -1.0], sched_tiny)
