@@ -72,13 +72,6 @@ def category_tokens(category: str) -> list[int]:
     return [token_for(category, d) for d in DEFECTS]
 
 
-def condition_name(token: int) -> str:
-    if token == 0:
-        return "null"
-    c, d = divmod(token - 1, len(DEFECTS))
-    return f"{CATEGORIES[c]}_{DEFECTS[d]}"
-
-
 def token_from_name(name: str) -> int:
     cat, _, defect = name.partition("_")
     return token_for(cat, defect)

@@ -69,19 +69,6 @@ class LoraStack:
     def params(self) -> list[np.ndarray]:
         return self.A + self.B
 
-    def layer_delta(self, i: int, mask: np.ndarray) -> np.ndarray:
-        """Merged update B_i @ diag(mask) @ A_i; the forward never builds it."""
-        if mask.shape != (self.rank,):
-            raise ValueError("mask length must equal adapter rank")
-        return self.B[i] @ (mask[:, None] * self.A[i])
-
-
-def effective_delta(adapter: LoraStack, gate: TemporalGate, t: int, layer: int = 0) -> np.ndarray:
-    """Merged weight update of one adapted layer at timestep t (test oracle)."""
-    if gate.k_max != adapter.rank:
-        raise ValueError("gate k_max must equal adapter rank")
-    return adapter.layer_delta(layer, gate_matrix(gate, t))
-
 
 def sinusoidal_embedding(t, dim: int) -> np.ndarray:
     """Embedding of a timestep, shape (dim,); an array of timesteps adds leading axes."""

@@ -37,16 +37,10 @@ def _check_two_classes(sp: ScoredPixels, metric: str) -> None:
 def auroc(sp: ScoredPixels) -> float:
     _check_two_classes(sp, "AUROC")
     s, y = sp.scores, sp.labels
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # 1-based average rank of each score: the last rank of its tie group
+    # minus half the group's extra members
+    _, inv, counts = np.unique(s, return_inverse=True, return_counts=True, equal_nan=False)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inv]
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0

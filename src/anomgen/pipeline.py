@@ -84,7 +84,8 @@ def run_beta_sweep(cfg: dict) -> None:
                ["beta", "final_mean_delta", "final_loss"],
                [[r["beta"], r["final_mean_delta"], r["final_loss"]] for r in rows])
     for r in rows:
-        r["log"].save_csv(os.path.join(cfg["out"], f"align_log_beta{int(r['beta'])}.csv"))
+        beta = str(r["beta"]).removesuffix(".0")  # exact, so 500.2 and 500.7 stay apart
+        r["log"].save_csv(os.path.join(cfg["out"], f"align_log_beta{beta}.csv"))
 
 
 def load_aligned(ref_ckpt, adapter_ckpt):
@@ -164,12 +165,3 @@ def run_inspect_schedule(cfg: dict) -> None:
     _write_csv(os.path.join(cfg["out"], "schedule.csv"),
                ["t", "alpha", "sigma", "lambda", "lambda_slope", "beta_t"],
                sched.schedule_table(s, cfg["beta"]))
-
-
-def reference_diversity(data_root) -> float:
-    """Diversity proxy of the few-shot reference anomalies, per condition."""
-    data = dataset.load_dataset(data_root)
-    groups: dict[str, list] = {}
-    for s_ in data["reference"]:
-        groups.setdefault(f"{s_.category}_{s_.defect}", []).append(s_.image)
-    return metrics.diversity_proxy(groups)

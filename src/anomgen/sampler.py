@@ -18,7 +18,6 @@ import numpy as np
 from . import schedule as sched
 from .dataset import write_pgm
 from .denoiser import Denoiser, LoraStack, TemporalGate, predict_noise
-from .preference import posterior_means
 from .rng import seeded_gaussian
 
 _S_INIT = 5001
@@ -138,47 +137,6 @@ def deviation_run(reference: Denoiser, adapters: LoraStack, gate: TemporalGate,
         e_cond = predict_noise(reference, None, z_t, c, t)
         e_policy = predict_noise(reference, adapters, z_t, c, t, gate=gate)
         yield t, e_policy - e_cond
-
-
-def guided_log_density_check(s: sched.NoiseSchedule, z_t: np.ndarray, z_prev: np.ndarray,
-                             c: int, t: int, guidance: GuidanceConfig,
-                             reference: Denoiser, adapters: LoraStack | None,
-                             gate: TemporalGate | None) -> float:
-    """Residual of the product-form guided transition vs the linear prediction.
-
-    Both sides are evaluated as equal-variance Gaussian log densities up
-    to their shared normalization constant; the z_prev-dependent part
-    must vanish when the guided mean equals the exponent-weighted
-    combination.
-    """
-    if guidance.eta <= 0.0:
-        raise ValueError("densities degenerate")
-    z_t = np.asarray(z_t, dtype=np.float64)
-    z_prev = np.asarray(z_prev, dtype=np.float64)
-
-    e_uncond = predict_noise(reference, None, z_t, None, t)
-    e_cond = predict_noise(reference, None, z_t, c, t)
-    if adapters is not None:
-        e_policy = predict_noise(reference, adapters, z_t, c, t, gate=gate)
-    else:
-        e_policy = e_cond
-    e_hat, _ = guided_eps(reference, adapters, gate, z_t, c, t, guidance)
-
-    mu_u = posterior_means(s, z_t, e_uncond, t)
-    mu_c = posterior_means(s, z_t, e_cond, t)
-    mu_p = posterior_means(s, z_t, e_policy, t)
-    mu_g = posterior_means(s, z_t, e_hat, t)
-    var = guidance.eta**2 * sched.posterior_variance(s, t)
-
-    def quad(z):
-        st, sa = guidance.s_text, guidance.s_align
-        lhs = -np.sum((z - mu_g) ** 2)
-        rhs = -((1.0 - st) * np.sum((z - mu_u) ** 2)
-                + (st - sa) * np.sum((z - mu_c) ** 2)
-                + sa * np.sum((z - mu_p) ** 2))
-        return (lhs - rhs) / (2.0 * var)
-
-    return float(quad(z_prev) - quad(np.zeros_like(z_prev)))
 
 
 def save_run(z: np.ndarray, timesteps, norms, outdirs, decode=None) -> None:

@@ -76,40 +76,6 @@ def beta_weight(s: NoiseSchedule, beta: float, t: int) -> float:
     return -0.5 * beta * log_snr_slope(s, t)
 
 
-def step_signal(s: NoiseSchedule, t: int) -> float:
-    """Per-step DDPM signal factor a_t = alpha_t^2 / alpha_{t-1}^2."""
-    _check_t(s, t, low=1)
-    return float(s.alpha[t] ** 2 / s.alpha[t - 1] ** 2)
-
-
-def cumulative_signal(s: NoiseSchedule, t: int) -> float:
-    """Cumulative product abar_t = alpha_t^2."""
-    _check_t(s, t, low=0)
-    return float(s.alpha[t] ** 2)
-
-
-def posterior_variance(s: NoiseSchedule, t: int) -> float:
-    """Variance of the forward-process posterior q(z_{t-1} | z_t, z_0)."""
-    a_t = step_signal(s, t)
-    abar_t = cumulative_signal(s, t)
-    abar_prev = cumulative_signal(s, t - 1)
-    return (1.0 - a_t) * (1.0 - abar_prev) / (1.0 - abar_t)
-
-
-def kl_slope(s: NoiseSchedule, t: int) -> float:
-    """Exact per-step KL weight (1-a_t)^2 / (var_t * a_t * (1-abar_t)).
-
-    Multiplying half this weight by the squared-error difference of the
-    two noise predictions gives the per-step KL difference between the
-    equal-covariance Gaussian transitions exactly, with var_t the
-    forward-posterior variance.
-    """
-    a_t = step_signal(s, t)
-    abar_t = cumulative_signal(s, t)
-    var = posterior_variance(s, t)
-    return (1.0 - a_t) ** 2 / (var * a_t * (1.0 - abar_t))
-
-
 def schedule_table(s: NoiseSchedule, beta: float = 1000.0):
     """Rows (t, alpha, sigma, lambda, slope, beta_t); slope/beta blank at t=0."""
     rows = []

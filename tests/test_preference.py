@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from anomgen import preference, schedule as sched
-from anomgen.preference import (GaussianStep, alignment_deviation,
-                                analytic_step_kl_difference, apo_loss,
-                                bt_preference_prob, mc_deviation_estimate,
-                                posterior_means, sd_loss)
+from anomgen.preference import alignment_deviation, apo_loss, bt_preference_prob, sd_loss
 from anomgen.rng import seeded_gaussian
+
+from oracles import (GaussianStep, analytic_step_kl_difference, kl_slope,
+                     mc_deviation_estimate, posterior_means, posterior_variance)
 
 
 # -- alignment deviation -------------------------------------------------------
@@ -167,7 +167,7 @@ def test_sign_consistency(sched_small):
         step = GaussianStep(posterior_means(s, z_t, eps, t),
                             posterior_means(s, z_t, e_rf, t),
                             posterior_means(s, z_t, e_th, t),
-                            sched.posterior_variance(s, t))
+                            posterior_variance(s, t))
         kl_diff = analytic_step_kl_difference(step)
         if delta != 0.0:
             assert (delta < 0) == (kl_diff > 0)
@@ -184,12 +184,12 @@ def test_per_draw_kl_identity(sched_small):
         z_t = sched.forward_noise(s, z0, t, eps)
         e_rf = 0.4 * z_t + 0.1
         e_th = 0.7 * z_t - 0.2
-        lhs = 0.5 * abs(sched.kl_slope(s, t)) * (
+        lhs = 0.5 * abs(kl_slope(s, t)) * (
             np.sum((eps - e_rf) ** 2) - np.sum((eps - e_th) ** 2))
         step = GaussianStep(posterior_means(s, z_t, eps, t),
                             posterior_means(s, z_t, e_rf, t),
                             posterior_means(s, z_t, e_th, t),
-                            sched.posterior_variance(s, t))
+                            posterior_variance(s, t))
         rhs = analytic_step_kl_difference(step)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 

@@ -6,8 +6,10 @@ import pytest
 from anomgen import sampler, schedule as sched
 from anomgen.denoiser import LoraStack, TemporalGate
 from anomgen.rng import seeded_gaussian
-from anomgen.sampler import (GuidanceConfig, ddim_step, deviation_run, guided_eps,
-                             guided_log_density_check, sample, save_run, visit_schedule)
+from anomgen.sampler import (GuidanceConfig, ddim_step, deviation_run, guided_eps, sample,
+                             save_run, visit_schedule)
+
+from oracles import guided_log_density_check
 
 
 @pytest.fixture(scope="module")
