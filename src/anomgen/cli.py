@@ -10,7 +10,8 @@ directory without run.json holds an incomplete run.  Every stage reruns
 bit-identically from its run.json.
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing input
-artifact or another I/O error, 4 numerical divergence.
+artifact or another I/O error, 4 numerical divergence: a non-finite
+value anywhere in a stage.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 import operator
 import os
 import sys
+
+import numpy as np
 
 from . import pipeline
 from .dataset import CONDITIONS, SPLITS
@@ -66,7 +69,12 @@ _SPECS: dict[str, dict] = {
         "n": (int, 16, ((">=", 1), ("<=", pipeline.SEEDS_PER_TOKEN))),
         "steps": (int, 100, _AT_LEAST_1),
         "s_text": (float, 3.0, _ANY), "s_align": (float, 1.5, _ANY),
-        "eta": (float, 0.0, ((">=", 0), ("<=", 1))), "clip": (float, 2.0, _POSITIVE),
+        "eta": (float, 0.0, ((">=", 0), ("<=", 1))),
+        # clamp for the per-step z0 prediction during generation; the latent
+        # codec maps images into [-2, 2], and without the clamp prediction
+        # errors of the small denoiser compound multiplicatively over the
+        # trajectory and the latents diverge
+        "clip": (float, 2.0, _POSITIVE),
     },
     "localize": {
         "ref": (str, None, "file"), "adapters": (str, None, "file"),
@@ -177,8 +185,10 @@ def _run(command: str, cfg: dict) -> None:
     run_json = os.path.join(cfg["out"], "run.json")
     if os.path.isfile(run_json):
         os.remove(run_json)  # a stale record would mark a failed rerun as complete
-    # looked up at call time, so patched stages (tests, tracing) take effect
-    getattr(pipeline, "run_" + command.replace("-", "_"))(cfg)
+    # looked up at call time, so patched stages (tests, tracing) take effect; a
+    # non-finite value anywhere in the stage raises FloatingPointError
+    with np.errstate(all="raise", under="ignore"):
+        getattr(pipeline, "run_" + command.replace("-", "_"))(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     with open(run_json, "w", encoding="utf-8") as fh:
         json.dump({"command": command, **cfg}, fh, indent=1, sort_keys=True)
@@ -188,7 +198,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _run(args.command, resolve_config(args.command, args))
-    except (ValueError, OSError, DivergenceError) as e:
+    except (ValueError, OSError, DivergenceError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, ValueError):
             return EXIT_BAD_CONFIG

@@ -222,8 +222,7 @@ def read_pgm(path) -> np.ndarray:
     return data.astype(np.float64) / maxval
 
 
-def generate_dataset(root, seed: int, n_normal: int = 64, n_anomaly: int = 9,
-                     fraction: float = 1.0 / 3.0) -> dict:
+def generate_dataset(root, seed: int, n_normal: int, n_anomaly: int, fraction: float) -> dict:
     """Write the full on-disk corpus and its manifest; returns the manifest."""
     entries = []
     for cat in CATEGORIES:

@@ -84,8 +84,8 @@ class Denoiser:
 
     N_LAYERS = 4
 
-    def __init__(self, latent_dim: int = 256, hidden: int = 256, n_tokens: int = 10,
-                 seed: int = 0):
+    def __init__(self, latent_dim: int = 256, hidden: int = 256, n_tokens: int = 10, *,
+                 seed: int):
         self.latent_dim = int(latent_dim)
         self.hidden = int(hidden)
         self.n_tokens = int(n_tokens)
@@ -181,7 +181,7 @@ def load_reference(path) -> tuple[Denoiser, str, int]:
         if role != ROLE_REFERENCE:
             raise ValueError("checkpoint does not hold reference weights")
         latent_dim, hidden, n_tokens, _, _ = dims
-        model = Denoiser(latent_dim, hidden, n_tokens)
+        model = Denoiser(latent_dim, hidden, n_tokens, seed=0)  # weights read below
         _read_params(fh, model.params)
     return model, kind, T
 

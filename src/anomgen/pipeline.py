@@ -28,9 +28,9 @@ def normal_training_set(data: dict) -> list:
             for s in data["normal"]]
 
 
-def anomaly_training_set(data: dict, split: str = "reference") -> list:
-    """(latent, token) pairs for alignment."""
-    return [(dataset.encode_latent(s.image), s.token) for s in data[split]]
+def anomaly_training_set(data: dict) -> list:
+    """(latent, token) pairs of the reference split, for alignment."""
+    return [(dataset.encode_latent(s.image), s.token) for s in data["reference"]]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -49,24 +49,16 @@ def run_gen_data(cfg: dict) -> None:
 def run_pretrain(cfg: dict) -> None:
     data = dataset.load_dataset(cfg["data"])
     s = sched.build_schedule(cfg["t_steps"], cfg["kind"])
-    tc = trainer.TrainConfig(steps=cfg["steps"], learning_rate=cfg["lr"], seed=cfg["seed"],
-                             condition_dropout=cfg["dropout"], batch_size=cfg["batch"])
-    model, log = trainer.pretrain_reference(normal_training_set(data), tc, s)
+    model, log = trainer.pretrain_reference(normal_training_set(data), cfg, s)
     os.makedirs(cfg["out"], exist_ok=True)
     save_reference(os.path.join(cfg["out"], "reference.ckpt"), model, cfg["kind"], cfg["t_steps"])
     log.save_csv(os.path.join(cfg["out"], "train_log.csv"))
 
 
-def _align_config(cfg: dict, **kw) -> trainer.TrainConfig:
-    return trainer.TrainConfig(steps=cfg["steps"], learning_rate=cfg["lr"], seed=cfg["seed"],
-                               k_min=cfg["kmin"], k_max=cfg["kmax"], **kw)
-
-
 def run_align(cfg: dict) -> None:
     data = dataset.load_dataset(cfg["data"])
     model, kind, T = load_reference(cfg["ref"])
-    adapters, gate, log = trainer.align(model, anomaly_training_set(data),
-                                        _align_config(cfg, beta=cfg["beta"]),
+    adapters, gate, log = trainer.align(model, anomaly_training_set(data), cfg,
                                         sched.build_schedule(T, kind))
     os.makedirs(cfg["out"], exist_ok=True)
     save_adapters(os.path.join(cfg["out"], "adapters.ckpt"), adapters, gate, kind, T, model)
@@ -77,15 +69,21 @@ def run_beta_sweep(cfg: dict) -> None:
     """Alignment once per beta with a shared seed; a summary row plus a log per beta."""
     data = dataset.load_dataset(cfg["data"])
     model, kind, T = load_reference(cfg["ref"])
-    betas = [float(b) for b in cfg["betas"].split(",") if b]
-    rows = trainer.beta_sweep(model, anomaly_training_set(data), _align_config(cfg), betas,
-                              sched.build_schedule(T, kind))
+    s = sched.build_schedule(T, kind)
+    anomalies = anomaly_training_set(data)
+    rows, logs = [], []  # every beta trains before anything is written
+    for beta in [float(b) for b in cfg["betas"].split(",") if b]:
+        adapters, gate, log = trainer.align(model, anomalies, {**cfg, "beta": beta}, s)
+        tail = log.losses()[-100:]
+        rows.append([beta, trainer.evaluate_mean_delta(model, adapters, gate, anomalies, s,
+                                                       cfg["seed"]),
+                     float(tail.mean()) if tail.size else float("nan")])
+        logs.append(log)
     _write_csv(os.path.join(cfg["out"], "beta_sweep.csv"),
-               ["beta", "final_mean_delta", "final_loss"],
-               [[r["beta"], r["final_mean_delta"], r["final_loss"]] for r in rows])
-    for r in rows:
-        beta = str(r["beta"]).removesuffix(".0")  # exact, so 500.2 and 500.7 stay apart
-        r["log"].save_csv(os.path.join(cfg["out"], f"align_log_beta{beta}.csv"))
+               ["beta", "final_mean_delta", "final_loss"], rows)
+    for (beta, _, _), log in zip(rows, logs):
+        name = str(beta).removesuffix(".0")  # exact, so 500.2 and 500.7 stay apart
+        log.save_csv(os.path.join(cfg["out"], f"align_log_beta{name}.csv"))
 
 
 def load_aligned(ref_ckpt, adapter_ckpt):
@@ -99,13 +97,11 @@ def load_aligned(ref_ckpt, adapter_ckpt):
 def run_sample(cfg: dict) -> None:
     """All n runs of a condition advance together as one batch."""
     name, n = cfg["condition"], cfg["n"]
-    guidance = sampler.GuidanceConfig(s_text=cfg["s_text"], s_align=cfg["s_align"],
-                                      steps=cfg["steps"], eta=cfg["eta"], z0_clip=cfg["clip"])
     model, adapters, gate, s = load_aligned(cfg["ref"], cfg["adapters"])
     for cname in dataset.CONDITIONS if name == "all" else [name]:
         token = dataset.token_from_name(cname)
         seeds = [cfg["seed"] + SEEDS_PER_TOKEN * token + i for i in range(n)]
-        z, timesteps, norms = sampler.sample(model, adapters, gate, token, guidance, s, seeds)
+        z, timesteps, norms = sampler.sample(model, adapters, gate, token, cfg, s, seeds)
         sampler.save_run(z, timesteps, norms, [os.path.join(cfg["out"], cname, f"run_{i:03d}")
                                                for i in range(n)], decode=dataset.decode_latent)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +24,9 @@ _S_STEP_NOISE = 5100
 _S_DEVIATION = 5200
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
-    s_text: float = 3.0
-    s_align: float = 1.5
-    steps: int = 100
-    eta: float = 0.0
-    # clamp for the per-step z0 prediction during generation; the latent
-    # codec maps images into [-2, 2], and without the clamp prediction
-    # errors of the small denoiser compound multiplicatively over the
-    # trajectory and the latents diverge
-    z0_clip: float | None = 2.0
-
-
 def guided_eps(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate | None,
                z_t: np.ndarray, c: int, t: int,
-               guidance: GuidanceConfig) -> tuple[np.ndarray, np.ndarray]:
+               s_text: float, s_align: float) -> tuple[np.ndarray, np.ndarray]:
     """Three-term guided prediction plus the raw alignment delta."""
     if c is None or int(c) == 0:
         raise ValueError("guided sampling requires a non-null condition")
@@ -54,23 +40,20 @@ def guided_eps(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGa
     # weighted form of: e_uncond + s_text*(e_cond - e_uncond) + s_align*d_align;
     # algebraically identical, but this arrangement makes the three
     # telescoping reductions (scales 0/0, 1/0, 1/1) hold bit-exactly
-    st, sa = guidance.s_text, guidance.s_align
-    e_hat = (1.0 - st) * e_uncond + (st - sa) * e_cond + sa * e_policy
+    e_hat = (1.0 - s_text) * e_uncond + (s_text - s_align) * e_cond + s_align * e_policy
     return e_hat, d_align
 
 
 def ddim_step(s: sched.NoiseSchedule, z_t: np.ndarray, eps_hat: np.ndarray,
-              t: int, t_prev: int, eta: float = 0.0,
-              noise: np.ndarray | None = None,
-              z0_clip: float | None = None) -> np.ndarray:
-    """One solver update from level t down to level t_prev."""
+              t: int, t_prev: int, eta: float, clip: float,
+              noise: np.ndarray | None = None) -> np.ndarray:
+    """One solver update from level t down to level t_prev; the z0 prediction is clamped to clip."""
     if t_prev >= t:
         raise ValueError("t_prev must be < t")
     z_t = np.asarray(z_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     z0_pred = (z_t - s.sigma[t] * eps_hat) / s.alpha[t]
-    if z0_clip is not None:
-        z0_pred = np.clip(z0_pred, -z0_clip, z0_clip)
+    z0_pred = np.clip(z0_pred, -clip, clip)
     if t_prev == 0:
         return z0_pred
     abar_t = s.alpha[t] ** 2
@@ -92,29 +75,30 @@ def visit_schedule(T: int, steps: int) -> list[int]:
 
 
 def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate | None,
-           c: int, guidance: GuidanceConfig, s: sched.NoiseSchedule, seeds):
+           c: int, cfg: dict, s: sched.NoiseSchedule, seeds):
     """Generate one latent per seed from pure noise under hierarchical guidance.
 
     Returns the final latents (B, D), the visited timesteps and each step's
     B row norms ||delta_align||_2.  All runs advance together, one call per
     guidance branch per step, and row b draws its noise from seeds[b] alone.
+    cfg supplies steps, eta, clip, s_text and s_align.
     """
     seeds = [int(x) for x in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
     shape = (reference.latent_dim,)
-    visits = visit_schedule(s.T, guidance.steps)
+    visits = visit_schedule(s.T, cfg["steps"])
     z = np.stack([seeded_gaussian(shape, seed, _S_INIT) for seed in seeds])
     norms = []
     for i, t in enumerate(visits):
-        e_hat, d_align = guided_eps(reference, adapters, gate, z, c, t, guidance)
+        e_hat, d_align = guided_eps(reference, adapters, gate, z, c, t, cfg["s_text"],
+                                    cfg["s_align"])
         norms.append([float(np.linalg.norm(row)) for row in d_align])
         t_prev = visits[i + 1] if i + 1 < len(visits) else 0
         noise = None
-        if guidance.eta > 0.0 and t_prev > 0:
+        if cfg["eta"] > 0.0 and t_prev > 0:
             noise = np.stack([seeded_gaussian(shape, seed, _S_STEP_NOISE + i) for seed in seeds])
-        z = ddim_step(s, z, e_hat, t, t_prev, guidance.eta, noise,
-                      z0_clip=guidance.z0_clip)
+        z = ddim_step(s, z, e_hat, t, t_prev, cfg["eta"], cfg["clip"], noise)
     return z, visits, norms
 
 

@@ -29,7 +29,7 @@ class NoiseSchedule:
     lam: np.ndarray = field(repr=False)
 
 
-def build_schedule(T: int, kind: str = "linear") -> NoiseSchedule:
+def build_schedule(T: int, kind: str) -> NoiseSchedule:
     if T < 2:
         raise ValueError("T must be >= 2")
 
@@ -76,7 +76,7 @@ def beta_weight(s: NoiseSchedule, beta: float, t: int) -> float:
     return -0.5 * beta * log_snr_slope(s, t)
 
 
-def schedule_table(s: NoiseSchedule, beta: float = 1000.0):
+def schedule_table(s: NoiseSchedule, beta: float):
     """Rows (t, alpha, sigma, lambda, slope, beta_t); slope/beta blank at t=0."""
     rows = []
     for t in range(s.T + 1):

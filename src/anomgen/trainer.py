@@ -4,15 +4,17 @@ Pretraining fits the denoiser to normal textures with the plain noise
 prediction loss, dropping the condition to the null token with a small
 probability so the unconditional branch used at sampling time exists.
 Alignment freezes those weights and trains only the gated low-rank
-adapters with the preference loss, one (sample, t, eps) triple per batch
-row.  Each step runs the whole batch through one forward, the loss
-gradient with respect to the output rows, and one closed-form backward.
+adapters with the preference loss, one (sample, t, eps) triple per step.
+Each step runs its rows through one forward, the loss gradient with
+respect to the output rows, and one closed-form backward.  Both loops read
+the resolved config of their CLI command: pretraining its steps, lr,
+batch, seed and dropout; alignment its steps, lr, seed, beta, kmin, kmax.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,18 +29,6 @@ _S_IDX, _S_T, _S_TOK, _S_DROP = 301, 302, 303, 304
 _PRETRAIN_NOISE = 1_000_000
 _ALIGN_NOISE = 2_000_000
 _EVAL_NOISE = 3_000_000
-
-
-@dataclass
-class TrainConfig:
-    steps: int
-    learning_rate: float
-    beta: float = 1000.0
-    batch_size: int = 1
-    seed: int = 0
-    condition_dropout: float = 0.1
-    k_min: int = 4
-    k_max: int = 32
 
 
 @dataclass
@@ -60,27 +50,27 @@ class TrainLog:
         return np.array([r["loss"] for r in self.records], dtype=np.float64)
 
 
-def pretrain_reference(normal_set, config: TrainConfig, s: sched.NoiseSchedule,
+def pretrain_reference(normal_set, cfg: dict, s: sched.NoiseSchedule,
                        model: Denoiser | None = None) -> tuple[Denoiser, TrainLog]:
     """Fit the denoiser to (z0, candidate tokens) pairs with the MSE noise loss."""
     normal_set = list(normal_set)
     if not normal_set:
         raise ValueError("empty dataset")
+    seed, bs = cfg["seed"], cfg["batch"]
     if model is None:
-        model = Denoiser(latent_dim=len(normal_set[0][0]), seed=config.seed)
-    opt = Adam(model.params, config.learning_rate)
+        model = Denoiser(latent_dim=len(normal_set[0][0]), seed=seed)
+    opt = Adam(model.params, cfg["lr"])
     log = TrainLog()
 
-    n_draws = config.steps * config.batch_size
-    idx = seeded_randint(len(normal_set), (max(n_draws, 1),), config.seed, _S_IDX)
-    ts = 1 + seeded_randint(s.T, (max(n_draws, 1),), config.seed, _S_T)
-    tok_u = seeded_uniform((max(n_draws, 1),), config.seed, _S_TOK)
-    drop = seeded_uniform((max(n_draws, 1),), config.seed, _S_DROP) < config.condition_dropout
+    n_draws = cfg["steps"] * bs
+    idx = seeded_randint(len(normal_set), (n_draws,), seed, _S_IDX)
+    ts = 1 + seeded_randint(s.T, (n_draws,), seed, _S_T)
+    tok_u = seeded_uniform((n_draws,), seed, _S_TOK)
+    drop = seeded_uniform((n_draws,), seed, _S_DROP) < cfg["dropout"]
 
-    bs = config.batch_size
-    for step in range(config.steps):
+    for step in range(cfg["steps"]):
         draws = range(step * bs, (step + 1) * bs)
-        t, eps, z_t = _noised_batch(normal_set, idx, ts, draws, s, config.seed, _PRETRAIN_NOISE)
+        t, eps, z_t = _noised_batch(normal_set, idx, ts, draws, s, seed, _PRETRAIN_NOISE)
         tokens = [0 if drop[d] else _pick(normal_set[idx[d]][1], tok_u[d]) for d in draws]
         cache = []
         val, g = preference.sd_loss(model.forward(z_t, tokens, t, cache=cache), eps, grad=True)
@@ -106,38 +96,36 @@ def _noised_batch(items, idx, ts, draws, s: sched.NoiseSchedule, seed: int, stre
     return t, eps, sched.forward_noise(s, z0, t, eps)
 
 
-def align(reference: Denoiser, anomaly_set, config: TrainConfig,
+def align(reference: Denoiser, anomaly_set, cfg: dict,
           s: sched.NoiseSchedule) -> tuple[LoraStack, TemporalGate, TrainLog]:
     """Preference alignment: adapters only, reference frozen.
 
-    Each step follows the sampled-triple recipe for every batch row: draw
-    (sample, t, eps), noise the latent, score both networks, convert the
-    squared-error gap into the weighted preference loss; then update on
-    the batch mean.
+    Each step follows the sampled-triple recipe on one row: draw (sample,
+    t, eps), noise the latent, score both networks, convert the
+    squared-error gap into the weighted preference loss, and update.
     """
     anomaly_set = list(anomaly_set)
     if not anomaly_set:
         raise ValueError("empty anomaly set")
-    gate = TemporalGate(k_min=config.k_min, k_max=config.k_max, T=s.T)
-    adapters = LoraStack(reference.layer_shapes(), rank=config.k_max, seed=config.seed)
-    opt = Adam(adapters.params, config.learning_rate)
+    seed, steps = cfg["seed"], cfg["steps"]
+    gate = TemporalGate(k_min=cfg["kmin"], k_max=cfg["kmax"], T=s.T)
+    adapters = LoraStack(reference.layer_shapes(), rank=cfg["kmax"], seed=seed)
+    opt = Adam(adapters.params, cfg["lr"])
     log = TrainLog()
 
-    n_draws = config.steps * config.batch_size
-    idx = seeded_randint(len(anomaly_set), (max(n_draws, 1),), config.seed, _S_IDX)
-    ts = 1 + seeded_randint(s.T, (max(n_draws, 1),), config.seed, _S_T)
+    idx = seeded_randint(len(anomaly_set), (steps,), seed, _S_IDX)
+    ts = 1 + seeded_randint(s.T, (steps,), seed, _S_T)
 
-    bs = config.batch_size
-    for step in range(config.steps):
-        draws = range(step * bs, (step + 1) * bs)
-        t, eps, z_t = _noised_batch(anomaly_set, idx, ts, draws, s, config.seed, _ALIGN_NOISE)
+    for step in range(steps):
+        draws = range(step, step + 1)
+        t, eps, z_t = _noised_batch(anomaly_set, idx, ts, draws, s, seed, _ALIGN_NOISE)
         tokens = [anomaly_set[idx[d]][1] for d in draws]
         eps_ref = predict_noise(reference, None, z_t, tokens, t)
         cache = []
         d = reference.forward(z_t, tokens, t, adapters=adapters, gate=gate, cache=cache) - eps
         # per-row squared error as a product with ones, which rounds unlike a row sum
         delta = (d * d) @ np.ones(eps.shape[1]) - np.sum((eps_ref - eps) ** 2, axis=1)
-        beta_t = np.array([sched.beta_weight(s, config.beta, int(ti)) for ti in t])
+        beta_t = np.array([sched.beta_weight(s, cfg["beta"], int(ti)) for ti in t])
         losses, g_delta = preference.apo_loss(delta, beta_t, grad=True)
         val = float(np.mean(losses))
         if not np.isfinite(val):
@@ -168,16 +156,3 @@ def evaluate_mean_delta(reference: Denoiser, adapters: LoraStack, gate: Temporal
         deltas.append(preference.alignment_deviation(eps_th, eps_ref, eps))
     return float(np.mean(np.concatenate(deltas)))
 
-
-def beta_sweep(reference: Denoiser, anomaly_set, config: TrainConfig, betas,
-               s: sched.NoiseSchedule) -> list[dict]:
-    """Run align once per beta with a shared seed; returns summary rows."""
-    rows = []
-    for beta in betas:
-        adapters, gate, log = align(reference, anomaly_set, replace(config, beta=beta), s)
-        mean_delta = evaluate_mean_delta(reference, adapters, gate, anomaly_set, s, config.seed)
-        tail = log.losses()[-min(100, len(log.records)):]
-        rows.append({"beta": float(beta), "final_mean_delta": mean_delta,
-                     "final_loss": float(tail.mean()) if tail.size else float("nan"),
-                     "log": log})
-    return rows

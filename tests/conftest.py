@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anomgen import schedule as sched
+from anomgen import cli, schedule as sched
 from anomgen.denoiser import Denoiser, LoraStack, TemporalGate
 from anomgen.rng import seeded_gaussian
 
@@ -26,6 +26,13 @@ def tiny_adapters(tiny_model):
     gate = TemporalGate(k_min=1, k_max=4, T=50)
     adapters = LoraStack(tiny_model.layer_shapes(), rank=4, seed=1)
     return adapters, gate
+
+
+def stage_config(command, **values):
+    """The resolved config of a CLI command: its defaults, with the given values set."""
+    cfg = {name: default for name, (_typ, default, _domain) in cli._SPECS[command].items()}
+    cfg.update(values)
+    return cfg
 
 
 def directional_derivative(loss_fn, params, direction, h=1e-5):

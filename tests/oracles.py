@@ -18,7 +18,7 @@ import numpy as np
 from anomgen import dataset, metrics, schedule as sched
 from anomgen.denoiser import Denoiser, LoraStack, TemporalGate, gate_matrix, predict_noise
 from anomgen.rng import seeded_gaussian, seeded_randint
-from anomgen.sampler import GuidanceConfig, guided_eps
+from anomgen.sampler import guided_eps
 
 
 def _check_t(s: sched.NoiseSchedule, t, low: int) -> None:
@@ -140,7 +140,7 @@ def mc_deviation_estimate(policy, reference, samples, s: sched.NoiseSchedule,
 
 
 def guided_log_density_check(s: sched.NoiseSchedule, z_t: np.ndarray, z_prev: np.ndarray,
-                             c: int, t: int, guidance: GuidanceConfig,
+                             c: int, t: int, s_text: float, s_align: float, eta: float,
                              reference: Denoiser, adapters: LoraStack | None,
                              gate: TemporalGate | None) -> float:
     """Residual of the product-form guided transition vs the linear prediction.
@@ -150,7 +150,7 @@ def guided_log_density_check(s: sched.NoiseSchedule, z_t: np.ndarray, z_prev: np
     must vanish when the guided mean equals the exponent-weighted
     combination.
     """
-    if guidance.eta <= 0.0:
+    if eta <= 0.0:
         raise ValueError("densities degenerate")
     z_t = np.asarray(z_t, dtype=np.float64)
     z_prev = np.asarray(z_prev, dtype=np.float64)
@@ -161,16 +161,16 @@ def guided_log_density_check(s: sched.NoiseSchedule, z_t: np.ndarray, z_prev: np
         e_policy = predict_noise(reference, adapters, z_t, c, t, gate=gate)
     else:
         e_policy = e_cond
-    e_hat, _ = guided_eps(reference, adapters, gate, z_t, c, t, guidance)
+    e_hat, _ = guided_eps(reference, adapters, gate, z_t, c, t, s_text, s_align)
 
     mu_u = posterior_means(s, z_t, e_uncond, t)
     mu_c = posterior_means(s, z_t, e_cond, t)
     mu_p = posterior_means(s, z_t, e_policy, t)
     mu_g = posterior_means(s, z_t, e_hat, t)
-    var = guidance.eta**2 * posterior_variance(s, t)
+    var = eta**2 * posterior_variance(s, t)
 
     def quad(z):
-        st, sa = guidance.s_text, guidance.s_align
+        st, sa = s_text, s_align
         lhs = -np.sum((z - mu_g) ** 2)
         rhs = -((1.0 - st) * np.sum((z - mu_u) ** 2)
                 + (st - sa) * np.sum((z - mu_c) ** 2)

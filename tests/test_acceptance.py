@@ -22,6 +22,7 @@ from anomgen.metrics import ScoredPixels, auroc, average_precision, f1_max
 from anomgen.rng import seeded_gaussian, seeded_randint, seeded_uniform
 
 import oracles
+from conftest import stage_config
 
 # pinned self-oracle anchor: mean eval-split pixel AUROC of the shipped
 # default configuration at seed 0, recorded when the pipeline was frozen
@@ -101,7 +102,7 @@ def test_criterion_1_initial_loss():
     s = sched.build_schedule(50, "linear")
     model = Denoiser(latent_dim=4, hidden=8, n_tokens=3, seed=0)
     anomalies = [(seeded_gaussian((4,), 100 + i, 0) * 0.5, 1 + i % 2) for i in range(3)]
-    cfg = trainer.TrainConfig(steps=1, learning_rate=1e-3, seed=0, k_min=1, k_max=4)
+    cfg = stage_config("align", steps=1, lr=1e-3, seed=0, kmin=1, kmax=4)
     _, _, log = trainer.align(model, anomalies, cfg, s)
     first = log.records[0]["loss"]
     elapsed = time.monotonic() - t0
@@ -232,13 +233,11 @@ def test_criterion_4_guided_density():
     worst = 0.0
     for case in range(1000):
         u = seeded_uniform((6,), 800, case)
-        cfg = sampler.GuidanceConfig(s_text=8.0 * u[0], s_align=4.0 * u[1],
-                                     eta=0.3 + 0.7 * u[2])
         t = 1 + int(u[3] * T)
         z_t = seeded_gaussian((1,), 801, case)
         z_prev = seeded_gaussian((1,), 802, case)
-        r = oracles.guided_log_density_check(s, z_t, z_prev, 1 + int(u[4] * 2), t,
-                                            cfg, model, adapters, gate)
+        r = oracles.guided_log_density_check(s, z_t, z_prev, 1 + int(u[4] * 2), t, 8.0 * u[0],
+                                            4.0 * u[1], 0.3 + 0.7 * u[2], model, adapters, gate)
         worst = max(worst, abs(r))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-8 and elapsed < 10.0
@@ -263,9 +262,7 @@ def test_criterion_5_guidance_reductions():
         e_c = predict_noise(model, None, z, c, t)
         e_p = predict_noise(model, adapters, z, c, t, gate=gate)
         for scales, expect in (((0.0, 0.0), e_u), ((1.0, 0.0), e_c), ((1.0, 1.0), e_p)):
-            out, _ = sampler.guided_eps(
-                model, adapters, gate, z, c, t,
-                sampler.GuidanceConfig(s_text=scales[0], s_align=scales[1]))
+            out, _ = sampler.guided_eps(model, adapters, gate, z, c, t, *scales)
             ok = ok and np.array_equal(out, expect)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0

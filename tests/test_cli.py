@@ -1,12 +1,15 @@
 import ast
 import contextlib
+import csv
 import filecmp
 import io
 import json
 import math
 import os
+import shutil
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -264,6 +267,28 @@ def test_beta_sweep_logs_named_by_exact_beta(toy_stack, tmp_path):
                     "align_log_beta500.7.csv"]
 
 
+def test_beta_sweep_structure(toy_stack, tmp_path):
+    out = tmp_path / "sweep"
+    rc = cli.main(["beta-sweep", "--data", str(toy_stack["data"]),
+                   "--ref", str(toy_stack["pre"] / "reference.ckpt"),
+                   "--out", str(out), "--steps", "10", "--lr", "1e-4", "--betas", "500,1000",
+                   "--kmin", "1", "--kmax", "4"])
+    assert rc == 0
+    with open(out / "beta_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["beta"]) for r in rows] == [500.0, 1000.0]
+    beta_ts = []
+    for r in rows:
+        assert np.isfinite(float(r["final_mean_delta"]))
+        assert np.isfinite(float(r["final_loss"]))
+        with open(out / f"align_log_beta{r['beta'].removesuffix('.0')}.csv", newline="") as fh:
+            log = list(csv.DictReader(fh))
+        assert len(log) == 10
+        beta_ts.append(np.array([float(x["beta_t"]) for x in log]))
+    # shared seed: identical (t, sample) draws, so beta_t columns scale by 2
+    assert np.array_equal(2.0 * beta_ts[0], beta_ts[1])
+
+
 # -- documented exit codes for bad inputs ---------------------------------------
 
 
@@ -451,6 +476,11 @@ def _nan_adam_step(*a, **kw):
     (_flags("beta-sweep", "--betas", "500,x"), cli.EXIT_BAD_CONFIG, "comma-separated"),
     # in every domain, but k_min > k_max; the gate rejects it before training
     (_flags("align", "--kmin", "8", "--kmax", "4"), cli.EXIT_BAD_CONFIG, "k_min <= k_max"),
+    # finite in every domain, but the stage overflows; nothing is written
+    (_flags("sample", "--condition", "stripes_spot", "--n", "1", "--steps", "5", "--s-text",
+            "1e300"), cli.EXIT_DIVERGED, "overflow encountered"),
+    (_flags("align", "--steps", "2", "--beta", "1e308"), cli.EXIT_DIVERGED,
+     "overflow encountered"),
     (_manifest_sample_category_not_a_str, cli.EXIT_BAD_CONFIG,
      "sample 0 has category=5 of type int"),
     # artifacts of the wrong kind, and I/O errors
@@ -507,6 +537,22 @@ def _numbers(typ, domain, cap, inside):
     return st.one_of(past)
 
 
+class _Cut(NamedTuple):
+    """The artifact root with its file rel cut short, made once the offset is drawn."""
+    root: str
+    rel: str
+
+    def draw(self, data, dest):
+        """Hard-link the artifact into dest and keep a drawn strict prefix of rel."""
+        shutil.copytree(self.root, dest, copy_function=os.link)
+        target = dest / self.rel
+        kept = target.read_bytes()
+        kept = kept[:data.draw(st.integers(0, len(kept) - 1), label=f"{self.rel} cut at")]
+        target.unlink()
+        target.write_bytes(kept)
+        return str(dest)
+
+
 @pytest.fixture(scope="module")
 def fuzz_paths(toy_stack, tmp_path_factory):
     """Per artifact option: (paths of the right kind, paths of a wrong kind or content)."""
@@ -526,12 +572,19 @@ def fuzz_paths(toy_stack, tmp_path_factory):
     manifest = _stack_manifest(toy_stack)
     manifest["samples"][0]["category"] = 5
     bad_manifest = _with_manifest(root, manifest)[-1]
+    first = _stack_manifest(toy_stack)["samples"][0]
+    image = os.path.join(first["category"], first["split"], first["id"] + ".pgm")
+    p_map = sorted(f for f in os.listdir(maps) if f.endswith(".p.f64"))[0]
+    condition = sorted(d for d in os.listdir(samples) if os.path.isdir(os.path.join(samples, d)))[0]
+    cut = {"data": [_Cut(data, "manifest.json"), _Cut(data, image)], "maps": [_Cut(maps, p_map)],
+           "samples": [_Cut(samples, os.path.join(condition, "run_000", "sample.pgm"))]}
     return {
-        "data": ([data], [missing, a_file, a_dir, str(root / "dir_manifest"), bad_manifest, ""]),
+        "data": ([data], [missing, a_file, a_dir, str(root / "dir_manifest"), bad_manifest, ""]
+                 + cut["data"]),
         "ref": ([ref], [missing, a_dir, ad, str(short), ""]),
         "adapters": ([ad], [missing, a_dir, ref, ""]),
-        "maps": ([maps], [missing, a_file, data, ""]),
-        "samples": (["", samples], [missing, a_file]),
+        "maps": ([maps], [missing, a_file, data, ""] + cut["maps"]),
+        "samples": (["", samples], [missing, a_file] + cut["samples"]),
         "out": (["fresh"], [a_file, str(root / "file" / "x")]),
     }
 
@@ -561,12 +614,21 @@ def test_fuzzed_options_exit_with_documented_code(fuzz_paths, tmp_path_factory, 
     bad = data.draw(st.sets(st.sampled_from(breakable), max_size=2), label="out of domain")
     cfg = {name: data.draw(_value(name, typ, domain, fuzz_paths, name not in bad), label=name)
            for name, (typ, _d, domain) in spec.items()}
+    for name, v in cfg.items():
+        if isinstance(v, _Cut):
+            cfg[name] = v.draw(data, tmp_path_factory.mktemp("cut") / name)
+            event(f"cut {os.path.basename(v.rel)}")
     if cfg["out"] == "fresh":
         cfg["out"] = str(tmp_path_factory.mktemp("out") / "out")
     fresh = not os.path.exists(cfg["out"])
     if data.draw(st.booleans(), label="config file"):
         cfile = tmp_path_factory.mktemp("cfg") / "c.json"
-        cfile.write_text(json.dumps({"command": command, **cfg}))
+        text = json.dumps({"command": command, **cfg})
+        offset = data.draw(st.none() | st.integers(0, len(text) - 1), label="config cut at")
+        if offset is not None:
+            text, bad = text[:offset], bad | {"config"}
+            event("cut config")
+        cfile.write_text(text)
         argv = [command, "--config", str(cfile)]
     else:
         argv = [command] + [f"--{name.replace('_', '-')}={v}" for name, v in cfg.items()]
@@ -581,6 +643,25 @@ def test_fuzzed_options_exit_with_documented_code(fuzz_paths, tmp_path_factory, 
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
         assert not fresh or not os.path.exists(cfg["out"])
+
+
+@pytest.mark.parametrize("option", ["data", "maps", "samples"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_truncated_artifacts_exit_2(fuzz_paths, tmp_path_factory, option, data):
+    # eval reads all three artifacts; every file it reads is cut in turn
+    cut = data.draw(st.sampled_from([p for p in fuzz_paths[option][1] if isinstance(p, _Cut)]))
+    paths = {"data": fuzz_paths["data"][0][0], "maps": fuzz_paths["maps"][0][0],
+             "samples": fuzz_paths["samples"][0][1]}
+    paths[option] = cut.draw(data, tmp_path_factory.mktemp("cut") / option)
+    out = tmp_path_factory.mktemp("out") / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--out", str(out)] + [f"--{k}={v}" for k, v in paths.items()])
+    assert code == cli.EXIT_BAD_CONFIG
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    assert not out.exists()
 
 
 # -- the package ships only what the CLI reaches --------------------------------
@@ -621,3 +702,28 @@ def test_package_defines_nothing_only_tests_reach():
                  if used[node.name] == Counter(_identifiers(node))[node.name]
                  and not name.startswith("pipeline.run_") and name not in keys]
     assert unreached == []
+
+
+def test_package_gives_no_option_a_second_default():
+    # cli._SPECS holds the only default of every option; a stage reads the
+    # resolved config, so a parameter or class field named after an option
+    # must not carry a default of its own (artifact paths aside)
+    root = Path(__file__).resolve().parents[1]
+    options = {name for spec in cli._SPECS.values()
+               for name, (_typ, _default, domain) in spec.items() if not isinstance(domain, str)}
+    found = []
+    for path in sorted((root / "src" / "anomgen").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                names = [arg.arg for arg in defaulted]
+            elif isinstance(node, ast.ClassDef):
+                names = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)
+                         and f.value is not None and isinstance(f.target, ast.Name)]
+            else:
+                continue
+            found += [f"{path.stem}.{node.name}({n})" for n in names if n in options]
+    assert found == [], found

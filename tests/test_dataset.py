@@ -180,7 +180,7 @@ def test_pgm_bad_magic(tmp_path):
 
 def test_generate_and_load_dataset(tmp_path):
     root = tmp_path / "data"
-    manifest = ds.generate_dataset(root, seed=0, n_normal=4, n_anomaly=3)
+    manifest = ds.generate_dataset(root, seed=0, n_normal=4, n_anomaly=3, fraction=1.0 / 3.0)
     loaded = ds.load_dataset(root)
     assert len(loaded["normal"]) == 3 * 4
     assert len(loaded["reference"]) == 3 * 3 * 1
@@ -195,8 +195,8 @@ def test_generate_dataset_rerun_identical(tmp_path):
     import filecmp
 
     r1, r2 = tmp_path / "a", tmp_path / "b"
-    ds.generate_dataset(r1, seed=7, n_normal=3, n_anomaly=3)
-    ds.generate_dataset(r2, seed=7, n_normal=3, n_anomaly=3)
+    ds.generate_dataset(r1, seed=7, n_normal=3, n_anomaly=3, fraction=1.0 / 3.0)
+    ds.generate_dataset(r2, seed=7, n_normal=3, n_anomaly=3, fraction=1.0 / 3.0)
     cmp = filecmp.dircmp(r1, r2)
 
     def assert_same(c):

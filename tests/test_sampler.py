@@ -6,9 +6,9 @@ import pytest
 from anomgen import sampler, schedule as sched
 from anomgen.denoiser import LoraStack, TemporalGate
 from anomgen.rng import seeded_gaussian
-from anomgen.sampler import (GuidanceConfig, ddim_step, deviation_run, guided_eps, sample,
-                             save_run, visit_schedule)
+from anomgen.sampler import ddim_step, deviation_run, guided_eps, sample, save_run, visit_schedule
 
+from conftest import stage_config
 from oracles import guided_log_density_check
 
 
@@ -30,9 +30,9 @@ def warm_adapters(tiny_model, tiny_adapters):
 
 def test_guided_eps_null_condition_error(tiny_model):
     with pytest.raises(ValueError):
-        guided_eps(tiny_model, None, None, np.zeros(4), 0, 5, GuidanceConfig())
+        guided_eps(tiny_model, None, None, np.zeros(4), 0, 5, 3.0, 1.5)
     with pytest.raises(ValueError):
-        guided_eps(tiny_model, None, None, np.zeros(4), None, 5, GuidanceConfig())
+        guided_eps(tiny_model, None, None, np.zeros(4), None, 5, 3.0, 1.5)
 
 
 def test_guided_eps_reductions_bitexact(tiny_model, warm_adapters):
@@ -46,8 +46,7 @@ def test_guided_eps_reductions_bitexact(tiny_model, warm_adapters):
         e_c = predict_noise(tiny_model, None, z, 1, t)
         e_p = predict_noise(tiny_model, adapters, z, 1, t, gate=gate)
         for scales, expect in (((0.0, 0.0), e_u), ((1.0, 0.0), e_c), ((1.0, 1.0), e_p)):
-            out, _ = guided_eps(tiny_model, adapters, gate, z, 1, t,
-                                GuidanceConfig(s_text=scales[0], s_align=scales[1]))
+            out, _ = guided_eps(tiny_model, adapters, gate, z, 1, t, *scales)
             assert np.array_equal(out, expect)
 
 
@@ -56,8 +55,7 @@ def test_guided_eps_matches_telescoped_form(tiny_model, warm_adapters):
 
     adapters, gate = warm_adapters
     z = seeded_gaussian((4,), 5, 0)
-    cfg = GuidanceConfig(s_text=4.0, s_align=2.5)
-    out, d_align = guided_eps(tiny_model, adapters, gate, z, 1, 10, cfg)
+    out, d_align = guided_eps(tiny_model, adapters, gate, z, 1, 10, 4.0, 2.5)
     e_u = predict_noise(tiny_model, None, z, None, 10)
     e_c = predict_noise(tiny_model, None, z, 1, 10)
     e_p = predict_noise(tiny_model, adapters, z, 1, 10, gate=gate)
@@ -68,17 +66,15 @@ def test_guided_eps_matches_telescoped_form(tiny_model, warm_adapters):
 def test_d_align_recorded_regardless_of_scales(tiny_model, warm_adapters):
     adapters, gate = warm_adapters
     z = seeded_gaussian((4,), 6, 0)
-    _, d0 = guided_eps(tiny_model, adapters, gate, z, 1, 10,
-                       GuidanceConfig(s_text=0.0, s_align=0.0))
-    _, d1 = guided_eps(tiny_model, adapters, gate, z, 1, 10,
-                       GuidanceConfig(s_text=5.0, s_align=3.0))
+    _, d0 = guided_eps(tiny_model, adapters, gate, z, 1, 10, 0.0, 0.0)
+    _, d1 = guided_eps(tiny_model, adapters, gate, z, 1, 10, 5.0, 3.0)
     assert np.array_equal(d0, d1)
     assert np.any(d0 != 0.0)
 
 
 def test_guided_eps_without_adapters_zero_delta(tiny_model):
     z = seeded_gaussian((4,), 7, 0)
-    _, d = guided_eps(tiny_model, None, None, z, 1, 10, GuidanceConfig())
+    _, d = guided_eps(tiny_model, None, None, z, 1, 10, 3.0, 1.5)
     assert np.array_equal(d, np.zeros(4))
 
 
@@ -87,16 +83,16 @@ def test_guided_eps_without_adapters_zero_delta(tiny_model):
 
 def test_ddim_step_validation(small):
     with pytest.raises(ValueError):
-        ddim_step(small, np.zeros(2), np.zeros(2), 5, 5)
+        ddim_step(small, np.zeros(2), np.zeros(2), 5, 5, 0.0, np.inf)
     with pytest.raises(ValueError):
-        ddim_step(small, np.zeros(2), np.zeros(2), 5, 2, eta=0.5)
+        ddim_step(small, np.zeros(2), np.zeros(2), 5, 2, 0.5, np.inf)
 
 
 def test_ddim_step_terminal_returns_z0(small):
     z0 = np.array([0.3, -0.4])
     eps = np.array([1.0, -0.5])
     z_t = sched.forward_noise(small, z0, 7, eps)
-    out = ddim_step(small, z_t, eps, 7, 0)
+    out = ddim_step(small, z_t, eps, 7, 0, 0.0, np.inf)
     assert np.allclose(out, z0, atol=1e-12)
 
 
@@ -106,7 +102,7 @@ def test_ddim_inversion_exact_noise(small):
     eps = seeded_gaussian((3,), 0, 3)
     z = sched.forward_noise(small, z0, 50, eps)
     for t, t_prev in [(50, 40), (40, 25), (25, 10), (10, 1)]:
-        z = ddim_step(small, z, eps, t, t_prev)
+        z = ddim_step(small, z, eps, t, t_prev, 0.0, np.inf)
         expect = sched.forward_noise(small, z0, t_prev, eps)
         assert np.max(np.abs(z - expect)) < 1e-10
 
@@ -117,21 +113,21 @@ def test_ddim_step_hand_expansion(small):
     t, t_prev = 20, 12
     z0p = (z_t - small.sigma[t] * eps) / small.alpha[t]
     expect = small.alpha[t_prev] * z0p + np.sqrt(1.0 - small.alpha[t_prev] ** 2) * eps
-    assert np.allclose(ddim_step(small, z_t, eps, t, t_prev), expect, atol=1e-14)
+    assert np.allclose(ddim_step(small, z_t, eps, t, t_prev, 0.0, np.inf), expect, atol=1e-14)
 
 
 def test_ddim_step_z0_clip(small):
     z_t = np.array([50.0])
     eps = np.array([0.0])
-    out = ddim_step(small, z_t, eps, 40, 0, z0_clip=2.0)
+    out = ddim_step(small, z_t, eps, 40, 0, 0.0, clip=2.0)
     assert out[0] == 2.0
-    out_free = ddim_step(small, z_t, eps, 40, 0)
+    out_free = ddim_step(small, z_t, eps, 40, 0, 0.0, clip=np.inf)
     assert out_free[0] > 2.0
 
 
 def test_ddim_step_stochastic_requires_noise(small):
     with pytest.raises(ValueError, match="noise"):
-        ddim_step(small, np.zeros(2), np.zeros(2), 10, 5, eta=1.0)
+        ddim_step(small, np.zeros(2), np.zeros(2), 10, 5, 1.0, np.inf)
 
 
 # -- schedule of visits --------------------------------------------------------
@@ -151,7 +147,7 @@ def test_visit_schedule():
 
 def test_sample_deterministic_and_shapes(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
-    cfg = GuidanceConfig(s_text=2.0, s_align=1.0, steps=10)
+    cfg = stage_config("sample", s_text=2.0, s_align=1.0, steps=10)
     z1, ts1, norms1 = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[5])
     z2, ts2, norms2 = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[5])
     assert len(norms1) == 10 and all(len(step) == 1 for step in norms1)
@@ -166,7 +162,7 @@ def test_sample_deterministic_and_shapes(tiny_model, warm_adapters, small):
 @pytest.mark.parametrize("eta", [0.0, 0.6])
 def test_sample_batch_matches_single_seed_runs(tiny_model, warm_adapters, small, eta):
     adapters, gate = warm_adapters
-    cfg = GuidanceConfig(s_text=2.0, s_align=1.0, steps=10, eta=eta)
+    cfg = stage_config("sample", s_text=2.0, s_align=1.0, steps=10, eta=eta)
     z, ts, norms = sample(tiny_model, adapters, gate, 2, cfg, small, seeds=[3, 8])
     for row, seed in enumerate([3, 8]):
         z1, ts1, norms1 = sample(tiny_model, adapters, gate, 2, cfg, small, seeds=[seed])
@@ -180,19 +176,19 @@ def test_sample_batch_matches_single_seed_runs(tiny_model, warm_adapters, small,
 def test_sample_needs_a_seed(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     with pytest.raises(ValueError, match="seed"):
-        sample(tiny_model, adapters, gate, 1, GuidanceConfig(steps=2), small, seeds=[])
+        sample(tiny_model, adapters, gate, 1, stage_config("sample", steps=2), small, seeds=[])
 
 
 def test_sample_latents_bounded_by_clip(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
-    cfg = GuidanceConfig(s_text=2.0, s_align=1.0, steps=10, z0_clip=2.0)
+    cfg = stage_config("sample", s_text=2.0, s_align=1.0, steps=10, clip=2.0)
     z, _, _ = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[1, 2, 3])
     assert np.max(np.abs(z)) <= 2.0
 
 
 def test_sample_zero_adapters_zero_delta(tiny_model, tiny_adapters, small):
     adapters, gate = tiny_adapters  # B still zero-initialized
-    cfg = GuidanceConfig(steps=5)
+    cfg = stage_config("sample", steps=5)
     _, ts, norms = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[0, 1])
     assert norms == [[0.0, 0.0]] * len(ts)
 
@@ -229,8 +225,8 @@ def test_deviation_run_batch_matches_single_rows(tiny_model, warm_adapters, smal
 
 def test_density_check_eta_zero_error(tiny_model, small):
     with pytest.raises(ValueError, match="degenerate"):
-        guided_log_density_check(small, np.zeros(4), np.zeros(4), 1, 5,
-                                 GuidanceConfig(eta=0.0), tiny_model, None, None)
+        guided_log_density_check(small, np.zeros(4), np.zeros(4), 1, 5, 3.0, 1.5, 0.0,
+                                 tiny_model, None, None)
 
 
 def test_density_check_small_residual(tiny_model, warm_adapters, small):
@@ -238,9 +234,8 @@ def test_density_check_small_residual(tiny_model, warm_adapters, small):
     for seed in range(10):
         z_t = seeded_gaussian((4,), seed, 0)
         z_prev = seeded_gaussian((4,), seed, 1)
-        cfg = GuidanceConfig(s_text=1.0 + seed * 0.5, s_align=0.3 * seed, eta=0.7)
-        r = guided_log_density_check(small, z_t, z_prev, 1, 5 + seed, cfg,
-                                     tiny_model, adapters, gate)
+        r = guided_log_density_check(small, z_t, z_prev, 1, 5 + seed, 1.0 + seed * 0.5,
+                                     0.3 * seed, 0.7, tiny_model, adapters, gate)
         assert abs(r) < 1e-8
 
 
@@ -250,11 +245,12 @@ def test_density_check_small_residual(tiny_model, warm_adapters, small):
 def test_save_load_run_roundtrip(tmp_path, tiny_model, warm_adapters, small):
     # each run directory holds the per-step t and ||delta_align||_2 and nothing else
     adapters, gate = warm_adapters
-    cfg = GuidanceConfig(steps=6)
+    cfg = stage_config("sample", steps=6)
     z, ts, norms = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[2, 7])
     # the first step's norms are those of the delta at the initial noise
     z_init = np.stack([seeded_gaussian((4,), seed, sampler._S_INIT) for seed in (2, 7)])
-    _, d = guided_eps(tiny_model, adapters, gate, z_init, 1, ts[0], cfg)
+    _, d = guided_eps(tiny_model, adapters, gate, z_init, 1, ts[0], cfg["s_text"],
+                      cfg["s_align"])
     assert norms[0] == [float(np.linalg.norm(d[row])) for row in range(2)]
     save_run(z, ts, norms, [tmp_path / "r0", tmp_path / "r1"])
     for row, name in enumerate(["r0", "r1"]):
@@ -269,7 +265,8 @@ def test_save_load_run_roundtrip(tmp_path, tiny_model, warm_adapters, small):
 
 def test_save_run_writes_image_when_decoding(tmp_path, tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
-    z, ts, norms = sample(tiny_model, adapters, gate, 1, GuidanceConfig(steps=3), small, seeds=[4])
+    z, ts, norms = sample(tiny_model, adapters, gate, 1, stage_config("sample", steps=3), small,
+                          seeds=[4])
     save_run(z, ts, norms, [tmp_path / "r"], decode=lambda latent: np.full((2, 2), 0.5))
     assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["delta_norms.csv",
                                                                   "sample.pgm"]
