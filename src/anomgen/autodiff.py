@@ -14,13 +14,12 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated without overflow for either sign."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, evaluated without overflow for either sign.
+
+    With e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def zero_grads(params) -> list[np.ndarray]:
@@ -42,12 +41,12 @@ def backward(model, cache: list, g: np.ndarray, grads: list, adapters=None) -> N
         if s is not None:  # SiLU: d(x s(x))/dx = s (1 + x (1 - s))
             g = g * (s * (1.0 + x * (1.0 - s)))
         if adapters is None:
-            grads[i] += (h.T @ g).T
+            grads[i] += g.T @ h
             grads[n + i] += g.sum(axis=0)
         else:
             gu = (g @ adapters.B[i]) * mask
-            grads[n + i] += (u.T @ g).T
-            grads[i] += (h.T @ gu).T
+            grads[n + i] += g.T @ u
+            grads[i] += gu.T @ h
         if i > 0:
             gh = g @ model.weights[i]
             g = gh if adapters is None else gh + gu @ adapters.A[i]

@@ -56,12 +56,17 @@ def gate_matrix(gate: TemporalGate, t) -> np.ndarray:
     return mask.reshape(np.shape(t) + (gate.k_max,))
 
 
+def _draw(shape, seed: int | None, stream_id: int) -> np.ndarray:
+    """Initial weights; seed=None gives zeros, for a checkpoint to overwrite."""
+    return np.zeros(shape) if seed is None else seeded_gaussian(shape, seed, stream_id)
+
+
 class LoraStack:
     """Per-layer low-rank factors; B starts at zero so the initial update vanishes."""
 
-    def __init__(self, layer_shapes, rank: int, seed: int):
+    def __init__(self, layer_shapes, rank: int, seed: int | None):
         self.rank = int(rank)
-        self.A = [seeded_gaussian((rank, in_dim), seed, 900 + 2 * i) / np.sqrt(rank)
+        self.A = [_draw((rank, in_dim), seed, 900 + 2 * i) / np.sqrt(rank)
                   for i, (_out_dim, in_dim) in enumerate(layer_shapes)]
         self.B = [np.zeros((out_dim, rank)) for out_dim, _in_dim in layer_shapes]
 
@@ -85,16 +90,16 @@ class Denoiser:
     N_LAYERS = 4
 
     def __init__(self, latent_dim: int = 256, hidden: int = 256, n_tokens: int = 10, *,
-                 seed: int):
+                 seed: int | None):
         self.latent_dim = int(latent_dim)
         self.hidden = int(hidden)
         self.n_tokens = int(n_tokens)
 
         dims = [(hidden, latent_dim), (hidden, hidden), (hidden, hidden), (latent_dim, hidden)]
-        self.weights = [seeded_gaussian((out_dim, in_dim), seed, 100 + i) / np.sqrt(in_dim)
+        self.weights = [_draw((out_dim, in_dim), seed, 100 + i) / np.sqrt(in_dim)
                         for i, (out_dim, in_dim) in enumerate(dims)]
         self.biases = [np.zeros(out_dim) for out_dim, _in_dim in dims]
-        self.cond_table = seeded_gaussian((n_tokens, hidden), seed, 200) * 0.1
+        self.cond_table = _draw((n_tokens, hidden), seed, 200) * 0.1
         self.cond_table[NULL_TOKEN] = 0.0
 
     @property
@@ -181,7 +186,7 @@ def load_reference(path) -> tuple[Denoiser, str, int]:
         if role != ROLE_REFERENCE:
             raise ValueError("checkpoint does not hold reference weights")
         latent_dim, hidden, n_tokens, _, _ = dims
-        model = Denoiser(latent_dim, hidden, n_tokens, seed=0)  # weights read below
+        model = Denoiser(latent_dim, hidden, n_tokens, seed=None)  # weights read below
         _read_params(fh, model.params)
     return model, kind, T
 
@@ -204,7 +209,7 @@ def load_adapters(path, model: Denoiser) -> tuple[LoraStack, TemporalGate, str, 
         if (latent_dim, hidden) != (model.latent_dim, model.hidden):
             raise ValueError("adapter checkpoint does not match model dims")
         gate = TemporalGate(k_min=k_min, k_max=k_max, T=T)
-        adapters = LoraStack(model.layer_shapes(), rank=k_max, seed=0)
+        adapters = LoraStack(model.layer_shapes(), rank=k_max, seed=None)
         if len(adapters.A) != n_layers:
             raise ValueError("adapter layer count mismatch")
         _read_params(fh, adapters.params)

@@ -30,19 +30,21 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hash_counters(seed: int, stream_id: int, counters: np.ndarray) -> np.ndarray:
+def _hash_counters(seed: int, stream_id, counters: np.ndarray) -> np.ndarray:
+    """Hashed counters; an array of stream ids adds one leading axis, one row per id."""
     s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    st = np.uint64(stream_id & 0xFFFFFFFFFFFFFFFF)
-    # u64 arithmetic wraps by design; numpy warns on scalar overflow
+    if np.ndim(stream_id):
+        st = np.asarray(stream_id).astype(np.uint64)[:, None]
+    else:
+        st = np.uint64(stream_id & 0xFFFFFFFFFFFFFFFF)
+    # u64 arithmetic wraps by design (so any grouping gives the same bits)
     with np.errstate(over="ignore"):
-        x = counters.astype(np.uint64) * _MUL1
-        x += s * _SEED_MIX
-        x += st * _STREAM_MIX
+        x = np.asarray(counters, dtype=np.uint64) * _MUL1 + (s * _SEED_MIX + st * _STREAM_MIX)
     # two finalizer rounds decorrelate nearby (seed, stream, index) keys
     return _finalize(_finalize(x))
 
 
-def _uniform_open(seed: int, stream_id: int, counters: np.ndarray) -> np.ndarray:
+def _uniform_open(seed: int, stream_id, counters: np.ndarray) -> np.ndarray:
     """Uniforms in (0, 1]; the +1 keeps log() finite."""
     bits = _hash_counters(seed, stream_id, counters) >> np.uint64(11)
     return (bits.astype(np.float64) + 1.0) * _INV_2_53
@@ -56,26 +58,26 @@ def seeded_uniform(shape, seed: int, stream_id: int) -> np.ndarray:
     return u.reshape(shape)
 
 
-def seeded_gaussian(shape, seed: int, stream_id: int) -> np.ndarray:
+def seeded_gaussian(shape, seed: int, stream_id) -> np.ndarray:
     """Standard-normal samples via Box-Muller on the counter hash.
 
     Identical (seed, stream_id, shape) yields bit-identical output
-    across runs; zero-sized shapes yield an empty array.
+    across runs; zero-sized shapes yield an empty array.  A 1-D array of
+    stream ids gives shape (len(ids),) + shape, each row equal to the
+    call with that id alone.
     """
     shape = tuple(int(d) for d in shape)
     if not shape:
         raise ValueError("shape must be non-empty")
     n = int(np.prod(shape))
-    if n == 0:
-        return np.zeros(shape, dtype=np.float64)
     m = (n + 1) // 2
     idx = np.arange(2 * m, dtype=np.uint64)
     u = _uniform_open(seed, stream_id, idx)
-    u1, u2 = u[:m], u[m:]
+    u1, u2 = u[..., :m], u[..., m:]
     r = np.sqrt(-2.0 * np.log(u1))
     theta = 2.0 * np.pi * u2
-    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return out.reshape(shape)
+    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
+    return out.reshape(np.shape(stream_id) + shape)
 
 
 def seeded_randint(n_values: int, shape, seed: int, stream_id: int) -> np.ndarray:

@@ -68,6 +68,7 @@ def pretrain_reference(normal_set, cfg: dict, s: sched.NoiseSchedule,
     tok_u = seeded_uniform((n_draws,), seed, _S_TOK)
     drop = seeded_uniform((n_draws,), seed, _S_DROP) < cfg["dropout"]
 
+    grads = zero_grads(opt.params)
     for step in range(cfg["steps"]):
         draws = range(step * bs, (step + 1) * bs)
         t, eps, z_t = _noised_batch(normal_set, idx, ts, draws, s, seed, _PRETRAIN_NOISE)
@@ -76,7 +77,8 @@ def pretrain_reference(normal_set, cfg: dict, s: sched.NoiseSchedule,
         val, g = preference.sd_loss(model.forward(z_t, tokens, t, cache=cache), eps, grad=True)
         if not np.isfinite(val):
             raise DivergenceError(f"diverged at pretrain step {step}")
-        grads = zero_grads(opt.params)
+        for gr in grads:  # backward sums into the buffers
+            gr.fill(0.0)
         backward(model, cache, g, grads)
         opt.step(grads)
         log.add(step=step, t=int(t[0]), delta=None, beta_t=None, loss=val, pref_prob=None)
@@ -91,7 +93,7 @@ def _pick(tokens, u: float) -> int:
 def _noised_batch(items, idx, ts, draws, s: sched.NoiseSchedule, seed: int, stream: int):
     """(t, eps, z_t) for draws d: latent items[idx[d]][0] at level ts[d], noise key stream + d."""
     z0 = np.stack([np.asarray(items[idx[d]][0], dtype=np.float64) for d in draws])
-    eps = np.stack([seeded_gaussian(z0.shape[1:], seed, stream + d) for d in draws])
+    eps = seeded_gaussian(z0.shape[1:], seed, stream + np.arange(draws.start, draws.stop))
     t = ts[draws.start:draws.stop]
     return t, eps, sched.forward_noise(s, z0, t, eps)
 
@@ -116,6 +118,7 @@ def align(reference: Denoiser, anomaly_set, cfg: dict,
     idx = seeded_randint(len(anomaly_set), (steps,), seed, _S_IDX)
     ts = 1 + seeded_randint(s.T, (steps,), seed, _S_T)
 
+    grads = zero_grads(opt.params)
     for step in range(steps):
         draws = range(step, step + 1)
         t, eps, z_t = _noised_batch(anomaly_set, idx, ts, draws, s, seed, _ALIGN_NOISE)
@@ -131,7 +134,8 @@ def align(reference: Denoiser, anomaly_set, cfg: dict,
         if not np.isfinite(val):
             raise DivergenceError(f"diverged at align step {step}")
         g = g_delta[:, None] * d  # d delta / d eps_th = 2 d, added as g + g
-        grads = zero_grads(opt.params)
+        for gr in grads:  # backward sums into the buffers
+            gr.fill(0.0)
         backward(reference, cache, g + g, grads, adapters=adapters)
         opt.step(grads)
         d0, b0 = float(delta[0]), float(beta_t[0])

@@ -6,7 +6,8 @@ difference of equal-covariance transitions, which the Monte Carlo
 estimator must reproduce; the guided density check compares the linear
 three-term guidance against the product of the three branches'
 transition densities; the merged adapter update is what the unmerged
-forward must equal.
+forward must equal; the allocating Adam step and the branchy sigmoid are
+what the in-place and branch-free forms must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from anomgen import dataset, metrics, schedule as sched
 from anomgen.denoiser import Denoiser, LoraStack, TemporalGate, gate_matrix, predict_noise
+from anomgen.optim import Adam, DivergenceError
 from anomgen.rng import seeded_gaussian, seeded_randint
 from anomgen.sampler import guided_eps
 
@@ -195,6 +197,44 @@ def effective_delta(adapter: LoraStack, gate: TemporalGate, t: int, layer: int =
     if gate.k_max != adapter.rank:
         raise ValueError("gate k_max must equal adapter rank")
     return layer_delta(adapter, layer, gate_matrix(gate, t))
+
+
+# -- optim and autodiff --------------------------------------------------------
+
+
+def adam_step_allocating(opt: Adam, grads) -> None:
+    """adam_step as plain array expressions, five new arrays per parameter.
+
+    The in-place step must match it bit for bit; it rebinds opt.m and opt.v.
+    """
+    params = opt.params
+    if len(params) != len(grads):
+        raise ValueError("params/grads length mismatch")
+    for p, g in zip(params, grads):
+        if g.shape != p.shape:
+            raise ValueError("gradient shape mismatch")
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError("non-finite gradient")
+
+    opt.step_count += 1
+    t = opt.step_count
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for i, (p, g) in enumerate(zip(params, grads)):
+        opt.m[i] = b1 * opt.m[i] + (1.0 - b1) * g
+        opt.v[i] = b2 * opt.v[i] + (1.0 - b2) * g * g
+        m_hat = opt.m[i] / (1.0 - b1**t)
+        v_hat = opt.v[i] / (1.0 - b2**t)
+        p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def sigmoid_branchy(x: np.ndarray) -> np.ndarray:
+    """Logistic function through boolean masks, one branch per sign of x."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 # -- dataset and pipeline ------------------------------------------------------

@@ -1,10 +1,11 @@
 import numpy as np
 
 from anomgen import preference
-from anomgen.autodiff import backward, zero_grads
+from anomgen.autodiff import backward, sigmoid, zero_grads
 from anomgen.rng import seeded_gaussian
 
 from conftest import directional_derivative, grad_dot, random_direction, warm
+from oracles import sigmoid_branchy
 
 TOKENS = [1, 0, 1, 2]  # a repeated token and the null token
 TIMES = [3, 17, 50, 17]
@@ -113,3 +114,14 @@ def test_matmul_gradients(tiny_model, tiny_adapters):
     g_u = [(adapters.B[3].T @ g[r]) * mask[r] for r in range(3)]
     assert np.allclose(grads[7], sum(np.outer(g[r], u[r]) for r in range(3)), atol=1e-12)
     assert np.allclose(grads[3], sum(np.outer(g_u[r], h[r]) for r in range(3)), atol=1e-12)
+
+
+def test_sigmoid_matches_branchy_form_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, 709.78, 745.2, tiny, 7 * tiny, 1e-310, 1e308, 1.0, 36.7, 1e-17])
+    x = np.concatenate([special, -special])
+    assert np.signbit(x[len(special)])  # -0.0 is among the inputs
+    # a (16, 256) batch like a hidden layer's pre-activations, at scales 1e-8 to 1e3
+    batch = 10.0 ** np.linspace(-8, 3, 16)[:, None] * seeded_gaussian((16, 256), 5, 0)
+    for v in (x, batch):
+        assert np.array_equal(sigmoid(v).view(np.uint64), sigmoid_branchy(v).view(np.uint64))

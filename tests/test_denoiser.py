@@ -274,6 +274,22 @@ def test_adapter_checkpoint_roundtrip(tmp_path, tiny_model, tiny_adapters):
         assert np.array_equal(a, b)
 
 
+def test_checkpoint_loaders_draw_no_weights(tmp_path, tiny_model, tiny_adapters, monkeypatch):
+    # the checkpoint overwrites every parameter, so initial draws would be discarded
+    adapters, gate = tiny_adapters
+    save_reference(tmp_path / "ref.ckpt", tiny_model, "linear", 50)
+    save_adapters(tmp_path / "ad.ckpt", adapters, gate, "linear", 50, tiny_model)
+
+    def no_draw(*args):
+        raise AssertionError("a loader drew initial weights")
+
+    monkeypatch.setattr("anomgen.denoiser.seeded_gaussian", no_draw)
+    model, _, _ = load_reference(tmp_path / "ref.ckpt")
+    loaded, _, _, _ = load_adapters(tmp_path / "ad.ckpt", model)
+    for a, b in zip(model.params + loaded.params, tiny_model.params + adapters.params):
+        assert np.array_equal(a, b)
+
+
 def test_checkpoint_role_mismatch(tmp_path, tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
     ref_path = tmp_path / "ref.ckpt"

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from anomgen.optim import Adam, DivergenceError, adam_step
+from anomgen.rng import seeded_gaussian
+
+from oracles import adam_step_allocating
 
 
 def test_zero_gradient_no_change():
@@ -76,3 +81,40 @@ def test_adam_wrapper_uses_leaf_grads():
     opt.step([2.0 * p])
     assert p < 2.0  # updated in place: the caller's array is the parameter
     assert opt.step_count == 1
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_in_place_step_matches_allocating_step_bit_for_bit():
+    shapes = [(), (1,), (7,), (3, 5), (16, 33), (2, 3, 4)]
+    rng = np.random.default_rng(11)
+    init = [rng.standard_normal(s) for s in shapes]
+    fast = Adam([p.copy() for p in init], learning_rate=3e-3)
+    slow = Adam([p.copy() for p in init], learning_rate=3e-3)
+    for step in range(1, 31):
+        # gradients from 1e-12 to 1e6, with exact zeros
+        grads = [rng.standard_normal(s) * 10.0 ** rng.uniform(-12, 6) for s in shapes]
+        grads[step % len(shapes)] *= 0.0
+        adam_step(fast, grads)
+        adam_step_allocating(slow, grads)
+        for a, b in zip(fast.params + fast.m + fast.v, slow.params + slow.m + slow.v):
+            assert np.array_equal(_bits(a), _bits(b)), step
+    assert fast.step_count == slow.step_count == 30
+
+
+def test_step_allocates_no_parameter_sized_array():
+    # the pretrain parameters at the shipped sizes: 256 wide, ten tokens
+    shapes = [(256, 256)] * 4 + [(256,)] * 4 + [(10, 256)]
+    params = [np.zeros(s) for s in shapes]
+    grads = [seeded_gaussian(s, 0, i) for i, s in enumerate(shapes)]
+    opt = Adam(params, learning_rate=5e-4)
+    adam_step(opt, grads)  # warm
+    tracemalloc.start()
+    try:
+        adam_step(opt, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < max(p.nbytes for p in params) // 4

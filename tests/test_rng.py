@@ -37,6 +37,19 @@ def test_gaussian_prefix_stability():
     assert np.array_equal(b, seeded_gaussian((4,), 3, 5))
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (256,), (16, 16), (5, 3)])
+@pytest.mark.parametrize("ids", [[3], list(range(1_000_000, 1_000_016))])
+def test_gaussian_stream_array_matches_stacked_scalar_calls(shape, ids):
+    rows = seeded_gaussian(shape, 17, np.array(ids))
+    stacked = np.stack([seeded_gaussian(shape, 17, i) for i in ids])
+    assert rows.shape == (len(ids),) + shape
+    assert np.array_equal(rows.view(np.uint64), stacked.view(np.uint64))
+
+
+def test_gaussian_empty_stream_array():
+    assert seeded_gaussian((4,), 0, np.arange(0)).shape == (0, 4)
+
+
 def test_streams_independent():
     a = seeded_gaussian((100,), 0, 1)
     b = seeded_gaussian((100,), 0, 2)
