@@ -6,8 +6,8 @@ declares each option's type, default and domain, and every value and
 artifact is checked against them before the stage starts.  The stage
 pipeline.run_<command> runs on the resolved values, and only once it has
 succeeded are they written, seeds included, to run.json under --out, so a
-directory without run.json holds an incomplete run.  Every stage reruns
-bit-identically from its run.json.
+directory without run.json holds an incomplete run, which no command reads.
+Every stage reruns bit-identically from its run.json.
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing input
 artifact or another I/O error, 4 numerical divergence: a non-finite
@@ -88,7 +88,6 @@ _SPECS: dict[str, dict] = {
     "inspect-schedule": {
         "out": (str, None, "out"), "t_steps": (int, 1000, ((">=", 2), _AT_MOST_U32)),
         "kind": (str, "linear", KINDS), "beta": (float, 1000.0, _POSITIVE),
-        "seed": (int, 0, _ANY),
     },
     "beta-sweep": {
         "data": (str, None, "dataset"), "ref": (str, None, "file"), "out": (str, None, "out"),
@@ -101,12 +100,14 @@ _SPECS: dict[str, dict] = {
     },
 }
 
-_ARTIFACTS = {  # kind: (the test a path must pass, the error naming a path that fails it)
-    "file": (os.path.isfile, "missing input file"),
-    "dir": (os.path.isdir, "missing input directory"),
+_ARTIFACTS = {  # kind: (the test a path must pass, the error naming a path that fails it,
+    # and the directory where the run.json of the stage that made the input marks it complete)
+    "file": (os.path.isfile, "missing input file", os.path.dirname),
+    "dir": (os.path.isdir, "missing input directory", str),
     "dataset": (lambda p: os.path.isfile(os.path.join(p, "manifest.json")),
-                "no manifest.json file in dataset"),
-    "out": (lambda p: os.path.isdir(p) or not os.path.lexists(p), "output is not a directory"),
+                "no manifest.json file in dataset", str),
+    "out": (lambda p: os.path.isdir(p) or not os.path.lexists(p), "output is not a directory",
+            None),
 }
 
 
@@ -179,9 +180,11 @@ def _run(command: str, cfg: dict) -> None:
     """Check the artifacts by kind, run the stage, and record run.json once it has succeeded."""
     for name, (_t, _d, domain) in _SPECS[command].items():
         if isinstance(domain, str) and cfg[name]:
-            exists, message = _ARTIFACTS[domain]
+            exists, message, producer = _ARTIFACTS[domain]
             if not exists(cfg[name]):
                 raise OSError(f"{message}: {cfg[name]}")
+            if producer and not os.path.isfile(os.path.join(producer(cfg[name]), "run.json")):
+                raise OSError(f"input of an incomplete run (no run.json): {cfg[name]}")
     run_json = os.path.join(cfg["out"], "run.json")
     if os.path.isfile(run_json):
         os.remove(run_json)  # a stale record would mark a failed rerun as complete

@@ -34,22 +34,13 @@ SPLITS = ("normal", "reference", "eval")
 MASK_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class DefectSpec:
-    kind: str
-    intensity: float
-    center: tuple[int, int] = (16, 16)
-    radius: int = 3
-    endpoints: tuple[int, int, int, int] = (7, 7, 24, 24)
-    size: int = 8
-    jitter: int = 2
-
-
-DEFAULT_DEFECTS = {
-    "scratch": DefectSpec(kind="scratch", intensity=-0.25, endpoints=(7, 7, 24, 24)),
-    "spot": DefectSpec(kind="spot", intensity=0.25, center=(16, 16), radius=3),
-    "patch": DefectSpec(kind="patch", intensity=0.2, center=(16, 16), size=8),
-}
+# defect geometry before the per-sample jitter of -JITTER..JITTER pixels per axis
+SCRATCH_ENDPOINTS = (7, 7, 24, 24)  # x0, y0, x1, y1
+CENTER = (16, 16)  # spot and patch, (y, x)
+SPOT_RADIUS = 3
+PATCH_SIZE = 8
+JITTER = 2
+INTENSITY = {"scratch": -0.25, "spot": 0.25, "patch": 0.2}
 
 
 @dataclass
@@ -80,25 +71,23 @@ def token_from_name(name: str) -> int:
 # -- texture synthesis --------------------------------------------------------
 
 
-def _texture(category: str, u: np.ndarray, side: int = IMAGE_SIDE) -> np.ndarray:
+def _texture(category: str, u: np.ndarray) -> np.ndarray:
     """One texture; u holds three uniforms (phase, amplitude, flip)."""
     amp = 0.17 + 0.08 * u[1]
-    cols = np.arange(side)
+    cols = np.arange(IMAGE_SIDE)
     if category == "stripes":
         phase = int(u[0] * 8)
         pat = np.where(((cols + phase) // 4) % 2 == 0, 1.0, -1.0)
-        img = np.tile(pat, (side, 1))
+        img = np.tile(pat, (IMAGE_SIDE, 1))
     elif category == "checker":
         phase = int(u[0] * 2)
-        y, x = np.meshgrid(np.arange(side), cols, indexing="ij")
+        y, x = np.meshgrid(np.arange(IMAGE_SIDE), cols, indexing="ij")
         img = np.where((y // 4 + x // 4 + phase) % 2 == 0, 1.0, -1.0)
-    elif category == "gradient":
-        ramp = 2.0 * cols / (side - 1) - 1.0
+    else:  # gradient; gen_normal has checked the category
+        ramp = 2.0 * cols / (IMAGE_SIDE - 1) - 1.0
         if u[0] >= 0.5:
             ramp = ramp[::-1]
-        img = np.tile(ramp, (side, 1))
-    else:
-        raise ValueError(f"unknown category: {category}")
+        img = np.tile(ramp, (IMAGE_SIDE, 1))
     return 0.5 + amp * img
 
 
@@ -113,56 +102,40 @@ def gen_normal(category: str, n: int, seed: int) -> list[np.ndarray]:
 # -- defects ------------------------------------------------------------------
 
 
-def _defect_region(spec: DefectSpec, jitter: np.ndarray, side: int) -> np.ndarray:
+def _defect_region(kind: str, jitter: np.ndarray) -> np.ndarray:
     """Boolean region of pixels the defect touches, geometry jittered per sample."""
-    j = ((jitter * (2 * spec.jitter + 1)).astype(int) - spec.jitter)
-    y, x = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    if spec.kind == "scratch":
-        x0, y0, x1, y1 = spec.endpoints
+    j = ((jitter * (2 * JITTER + 1)).astype(int) - JITTER)
+    y, x = np.meshgrid(np.arange(IMAGE_SIDE), np.arange(IMAGE_SIDE), indexing="ij")
+    if kind == "scratch":
+        x0, y0, x1, y1 = SCRATCH_ENDPOINTS
         x0, y0, x1, y1 = x0 + j[0], y0 + j[1], x1 + j[0], y1 + j[1]
         vx, vy = x1 - x0, y1 - y0
         L2 = float(vx * vx + vy * vy)
         tt = np.clip(((x - x0) * vx + (y - y0) * vy) / L2, 0.0, 1.0)
         dist = np.hypot(x - (x0 + tt * vx), y - (y0 + tt * vy))
-        region = dist <= 0.8
-        extent = (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-    elif spec.kind == "spot":
-        cy, cx = spec.center[0] + j[0], spec.center[1] + j[1]
-        region = (y - cy) ** 2 + (x - cx) ** 2 <= spec.radius**2
-        extent = (cx - spec.radius, cy - spec.radius, cx + spec.radius, cy + spec.radius)
-    elif spec.kind == "patch":
-        cy, cx = spec.center[0] + j[0], spec.center[1] + j[1]
-        h = spec.size // 2
-        region = (np.abs(y - cy) < h) & (np.abs(x - cx) < h)
-        extent = (cx - h, cy - h, cx + h, cy + h)
-    else:
-        raise ValueError(f"unknown defect kind: {spec.kind}")
-    if extent[0] < 1 or extent[1] < 1 or extent[2] > side - 2 or extent[3] > side - 2:
-        raise ValueError("defect outside image")
-    return region
+        return dist <= 0.8
+    cy, cx = CENTER[0] + j[0], CENTER[1] + j[1]
+    if kind == "spot":
+        return (y - cy) ** 2 + (x - cx) ** 2 <= SPOT_RADIUS**2
+    h = PATCH_SIZE // 2  # patch; gen_anomaly has checked the kind
+    return (np.abs(y - cy) < h) & (np.abs(x - cx) < h)
 
 
-def gen_anomaly(category: str, defect: DefectSpec | str, n: int, seed: int) -> list[LabeledSample]:
+def gen_anomaly(category: str, defect: str, n: int, seed: int) -> list[LabeledSample]:
     """Defective textures with exact per-pixel ground-truth masks."""
-    if isinstance(defect, str):
-        defect = DEFAULT_DEFECTS[defect]
-    if defect.intensity == 0.0:
-        raise ValueError("null defect")
+    intensity = INTENSITY[defect]
     normals = gen_normal(category, n, seed)
-    jit = seeded_uniform((n, 2), seed, 50 + DEFECTS.index(defect.kind))
-    token = token_for(category, defect.kind)
+    jit = seeded_uniform((n, 2), seed, 50 + DEFECTS.index(defect))
+    token = token_for(category, defect)
     out = []
     for i, base in enumerate(normals):
-        region = _defect_region(defect, jit[i], base.shape[0])
         img = base.copy()
-        img[region] += defect.intensity
+        img[_defect_region(defect, jit[i])] += intensity
         img = np.clip(img, 0.0, 1.0)
         mask = (np.abs(img - base) > MASK_EPS).astype(np.uint8)
-        if not mask.any():
-            raise ValueError("null defect")
         out.append(LabeledSample(image=img, mask=mask, token=token, category=category,
-                                 defect=defect.kind, split="", spec={"kind": defect.kind,
-                                 "intensity": defect.intensity}))
+                                 defect=defect, split="", spec={"kind": defect,
+                                 "intensity": intensity}))
     return out
 
 

@@ -113,7 +113,7 @@ class Denoiser:
 
     def forward(self, z_t, c, t, adapters: LoraStack | None = None,
                 gate: TemporalGate | None = None, cache: list | None = None) -> np.ndarray:
-        """Noise prediction for a latent (D,) or a batch of latents (B, D).
+        """Noise prediction for a batch of latents (B, D).
 
         c and t are a token and a timestep shared by every row, or one per
         row; c=None is the null token.  With adapters each layer computes
@@ -128,8 +128,6 @@ class Denoiser:
             raise ValueError("gate k_max must equal adapter rank")
 
         z = np.asarray(z_t, dtype=np.float64)
-        single = z.ndim == 1
-        z = z[None, :] if single else z
         if z.ndim != 2 or z.shape[1] != self.latent_dim:
             raise ValueError("latent shape mismatch")
         rows = z.shape[0]
@@ -160,7 +158,7 @@ class Denoiser:
             if cache is not None:
                 cache.append((h, u, x, s))
             h = x if s is None else x * s
-        return h[0] if single else h
+        return h
 
 
 def predict_noise(model: Denoiser, adapters: LoraStack | None, z_t, c, t,

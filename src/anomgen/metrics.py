@@ -9,6 +9,7 @@ a plain normalized pixel distance, deliberately not a perceptual metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -77,18 +78,9 @@ def f1_max(sp: ScoredPixels) -> float:
     return float(f1.max())
 
 
-def diversity_proxy(groups: dict) -> float:
-    """Mean pairwise RMS pixel distance within each group, averaged over groups."""
-    if not groups:
-        raise ValueError("no groups")
-    per_group = []
-    for key, images in groups.items():
-        imgs = [np.asarray(im, dtype=np.float64) for im in images]
-        if len(imgs) < 2:
-            raise ValueError(f"group {key!r} needs at least 2 images")
-        dists = []
-        for i in range(len(imgs)):
-            for j in range(i + 1, len(imgs)):
-                dists.append(np.sqrt(np.mean((imgs[i] - imgs[j]) ** 2)))
-        per_group.append(float(np.mean(dists)))
-    return float(np.mean(per_group))
+def diversity_proxy(images) -> float:
+    """Mean pairwise RMS pixel distance within one group of images."""
+    imgs = [np.asarray(im, dtype=np.float64) for im in images]
+    if len(imgs) < 2:
+        raise ValueError("diversity needs at least 2 images")
+    return float(np.mean([np.sqrt(np.mean((a - b) ** 2)) for a, b in combinations(imgs, 2)]))

@@ -148,7 +148,7 @@ def run_eval(cfg: dict) -> None:
                 imgs = [dataset.read_pgm(os.path.join(gdir, d, "sample.pgm"))
                         for d in sorted(os.listdir(gdir))]
                 if len(imgs) >= 2:
-                    div = metrics.diversity_proxy({f"{cat}_{defect}": imgs})
+                    div = metrics.diversity_proxy(imgs)
             rows.append([cat, defect, float(np.mean(aurocs)), float(np.mean(aps)),
                          float(np.mean(f1s)), div, len(evs)])
     _write_csv(os.path.join(cfg["out"], "metrics.csv"),

@@ -30,16 +30,21 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hash_counters(seed: int, stream_id, counters: np.ndarray) -> np.ndarray:
-    """Hashed counters; an array of stream ids adds one leading axis, one row per id."""
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    if np.ndim(stream_id):
-        st = np.asarray(stream_id).astype(np.uint64)[:, None]
-    else:
-        st = np.uint64(stream_id & 0xFFFFFFFFFFFFFFFF)
+def _u64(key):
+    """A seed or stream id mod 2^64 as u64; a 1-D sequence of them gives a (len, 1) column."""
+    if isinstance(key, int) or not np.ndim(key):
+        return np.uint64(key & 0xFFFFFFFFFFFFFFFF)
+    if not isinstance(key, np.ndarray):  # Python ints of any size; an int array wraps on cast
+        key = [k & 0xFFFFFFFFFFFFFFFF for k in key]
+    return np.array(key, dtype=np.uint64)[:, None]
+
+
+def _hash_counters(seed, stream_id, counters: np.ndarray) -> np.ndarray:
+    """Hashed counters; an array of seeds or stream ids adds one leading axis, one row each."""
     # u64 arithmetic wraps by design (so any grouping gives the same bits)
     with np.errstate(over="ignore"):
-        x = np.asarray(counters, dtype=np.uint64) * _MUL1 + (s * _SEED_MIX + st * _STREAM_MIX)
+        key = _u64(seed) * _SEED_MIX + _u64(stream_id) * _STREAM_MIX
+        x = np.asarray(counters, dtype=np.uint64) * _MUL1 + key
     # two finalizer rounds decorrelate nearby (seed, stream, index) keys
     return _finalize(_finalize(x))
 
@@ -58,13 +63,13 @@ def seeded_uniform(shape, seed: int, stream_id: int) -> np.ndarray:
     return u.reshape(shape)
 
 
-def seeded_gaussian(shape, seed: int, stream_id) -> np.ndarray:
+def seeded_gaussian(shape, seed, stream_id) -> np.ndarray:
     """Standard-normal samples via Box-Muller on the counter hash.
 
     Identical (seed, stream_id, shape) yields bit-identical output
-    across runs; zero-sized shapes yield an empty array.  A 1-D array of
-    stream ids gives shape (len(ids),) + shape, each row equal to the
-    call with that id alone.
+    across runs; zero-sized shapes yield an empty array.  A 1-D sequence
+    of seeds or of stream ids gives shape (len,) + shape, each row equal
+    to the call with that seed or id alone.
     """
     shape = tuple(int(d) for d in shape)
     if not shape:
@@ -77,7 +82,7 @@ def seeded_gaussian(shape, seed: int, stream_id) -> np.ndarray:
     r = np.sqrt(-2.0 * np.log(u1))
     theta = 2.0 * np.pi * u2
     out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
-    return out.reshape(np.shape(stream_id) + shape)
+    return out.reshape(u.shape[:-1] + shape)
 
 
 def seeded_randint(n_values: int, shape, seed: int, stream_id: int) -> np.ndarray:

@@ -88,7 +88,7 @@ def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate |
         raise ValueError("need at least one seed")
     shape = (reference.latent_dim,)
     visits = visit_schedule(s.T, cfg["steps"])
-    z = np.stack([seeded_gaussian(shape, seed, _S_INIT) for seed in seeds])
+    z = seeded_gaussian(shape, seeds, _S_INIT)
     norms = []
     for i, t in enumerate(visits):
         e_hat, d_align = guided_eps(reference, adapters, gate, z, c, t, cfg["s_text"],
@@ -97,7 +97,7 @@ def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate |
         t_prev = visits[i + 1] if i + 1 < len(visits) else 0
         noise = None
         if cfg["eta"] > 0.0 and t_prev > 0:
-            noise = np.stack([seeded_gaussian(shape, seed, _S_STEP_NOISE + i) for seed in seeds])
+            noise = seeded_gaussian(shape, seeds, _S_STEP_NOISE + i)
         z = ddim_step(s, z, e_hat, t, t_prev, cfg["eta"], cfg["clip"], noise)
     return z, visits, norms
 
@@ -123,15 +123,14 @@ def deviation_run(reference: Denoiser, adapters: LoraStack, gate: TemporalGate,
         yield t, e_policy - e_cond
 
 
-def save_run(z: np.ndarray, timesteps, norms, outdirs, decode=None) -> None:
+def save_run(z: np.ndarray, timesteps, norms, outdirs, decode) -> None:
     """Persist row b of sample's (z, timesteps, norms) to outdirs[b]: image and delta norms."""
     outdirs = list(outdirs)
     if len(outdirs) != len(z):
         raise ValueError("need one output directory per run")
     for b, outdir in enumerate(outdirs):
         os.makedirs(outdir, exist_ok=True)
-        if decode is not None:
-            write_pgm(os.path.join(outdir, "sample.pgm"), decode(z[b]))
+        write_pgm(os.path.join(outdir, "sample.pgm"), decode(z[b]))
         with open(os.path.join(outdir, "delta_norms.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "delta_align_l2"])

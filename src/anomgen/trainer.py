@@ -29,6 +29,7 @@ _S_IDX, _S_T, _S_TOK, _S_DROP = 301, 302, 303, 304
 _PRETRAIN_NOISE = 1_000_000
 _ALIGN_NOISE = 2_000_000
 _EVAL_NOISE = 3_000_000
+_EVAL_DRAWS = 20  # evaluate_mean_delta's (t, eps) draws per training sample
 
 
 @dataclass
@@ -50,15 +51,14 @@ class TrainLog:
         return np.array([r["loss"] for r in self.records], dtype=np.float64)
 
 
-def pretrain_reference(normal_set, cfg: dict, s: sched.NoiseSchedule,
-                       model: Denoiser | None = None) -> tuple[Denoiser, TrainLog]:
+def pretrain_reference(normal_set, cfg: dict,
+                       s: sched.NoiseSchedule) -> tuple[Denoiser, TrainLog]:
     """Fit the denoiser to (z0, candidate tokens) pairs with the MSE noise loss."""
     normal_set = list(normal_set)
     if not normal_set:
         raise ValueError("empty dataset")
     seed, bs = cfg["seed"], cfg["batch"]
-    if model is None:
-        model = Denoiser(latent_dim=len(normal_set[0][0]), seed=seed)
+    model = Denoiser(latent_dim=len(normal_set[0][0]), seed=seed)
     opt = Adam(model.params, cfg["lr"])
     log = TrainLog()
 
@@ -74,7 +74,7 @@ def pretrain_reference(normal_set, cfg: dict, s: sched.NoiseSchedule,
         t, eps, z_t = _noised_batch(normal_set, idx, ts, draws, s, seed, _PRETRAIN_NOISE)
         tokens = [0 if drop[d] else _pick(normal_set[idx[d]][1], tok_u[d]) for d in draws]
         cache = []
-        val, g = preference.sd_loss(model.forward(z_t, tokens, t, cache=cache), eps, grad=True)
+        val, g = preference.sd_loss(model.forward(z_t, tokens, t, cache=cache), eps)
         if not np.isfinite(val):
             raise DivergenceError(f"diverged at pretrain step {step}")
         for gr in grads:  # backward sums into the buffers
@@ -129,7 +129,7 @@ def align(reference: Denoiser, anomaly_set, cfg: dict,
         # per-row squared error as a product with ones, which rounds unlike a row sum
         delta = (d * d) @ np.ones(eps.shape[1]) - np.sum((eps_ref - eps) ** 2, axis=1)
         beta_t = np.array([sched.beta_weight(s, cfg["beta"], int(ti)) for ti in t])
-        losses, g_delta = preference.apo_loss(delta, beta_t, grad=True)
+        losses, g_delta = preference.apo_loss(delta, beta_t)
         val = float(np.mean(losses))
         if not np.isfinite(val):
             raise DivergenceError(f"diverged at align step {step}")
@@ -145,15 +145,14 @@ def align(reference: Denoiser, anomaly_set, cfg: dict,
 
 
 def evaluate_mean_delta(reference: Denoiser, adapters: LoraStack, gate: TemporalGate,
-                        anomaly_set, s: sched.NoiseSchedule, seed: int,
-                        n_draws_per_sample: int = 20) -> float:
+                        anomaly_set, s: sched.NoiseSchedule, seed: int) -> float:
     """Mean alignment deviation over the training set with frozen eval draws."""
     anomaly_set = list(anomaly_set)
-    ts = 1 + seeded_randint(s.T, (len(anomaly_set), n_draws_per_sample), seed, _S_T + 50)
-    idx = np.repeat(np.arange(len(anomaly_set)), n_draws_per_sample)
+    ts = 1 + seeded_randint(s.T, (len(anomaly_set), _EVAL_DRAWS), seed, _S_T + 50)
+    idx = np.repeat(np.arange(len(anomaly_set)), _EVAL_DRAWS)
     deltas = []
     for i, (_, token) in enumerate(anomaly_set):
-        draws = range(i * n_draws_per_sample, (i + 1) * n_draws_per_sample)
+        draws = range(i * _EVAL_DRAWS, (i + 1) * _EVAL_DRAWS)
         t, eps, z_t = _noised_batch(anomaly_set, idx, ts.ravel(), draws, s, seed, _EVAL_NOISE)
         eps_ref = predict_noise(reference, None, z_t, token, t)
         eps_th = predict_noise(reference, adapters, z_t, token, t, gate=gate)

@@ -149,7 +149,7 @@ def test_criterion_2_gradient_check():
         tok = k % 3
 
         def sd(cache=None):
-            return preference.sd_loss(model.forward(z, tok, t, cache=cache), eps, grad=True)
+            return preference.sd_loss(model.forward(z, tok, t, cache=cache), eps)
 
         worst = max(worst, fd_vs_grad(sd, model.params, 2000 + k))
 
@@ -160,13 +160,13 @@ def test_criterion_2_gradient_check():
         eps = seeded_gaussian((4,), 3000 + k, 1)
         t = 1 + (7 * k) % 50
         z_t = sched.forward_noise(s, z0, t, eps)
-        eps_ref = predict_noise(model, None, z_t, 1, t)
+        eps_ref = predict_noise(model, None, z_t[None], 1, t)
         beta_t = sched.beta_weight(s, 1000.0, t)
 
         def apo(cache=None):
             d = model.forward(z_t[None], 1, t, adapters=adapters, gate=gate, cache=cache) - eps
             delta = (d * d) @ np.ones(4) - float(np.sum((eps_ref - eps) ** 2))
-            loss, g_delta = preference.apo_loss(delta, beta_t, grad=True)
+            loss, g_delta = preference.apo_loss(delta, beta_t)
             g = g_delta[:, None] * d
             return float(np.mean(loss)), g + g
 
@@ -234,8 +234,8 @@ def test_criterion_4_guided_density():
     for case in range(1000):
         u = seeded_uniform((6,), 800, case)
         t = 1 + int(u[3] * T)
-        z_t = seeded_gaussian((1,), 801, case)
-        z_prev = seeded_gaussian((1,), 802, case)
+        z_t = seeded_gaussian((1, 1), 801, case)
+        z_prev = seeded_gaussian((1, 1), 802, case)
         r = oracles.guided_log_density_check(s, z_t, z_prev, 1 + int(u[4] * 2), t, 8.0 * u[0],
                                             4.0 * u[1], 0.3 + 0.7 * u[2], model, adapters, gate)
         worst = max(worst, abs(r))
@@ -255,7 +255,7 @@ def test_criterion_5_guidance_reductions():
     adapters, gate = _warm_adapters(model, 50, scale=0.3)
     ok = True
     for trial in range(100):
-        z = seeded_gaussian((4,), 900, trial)
+        z = seeded_gaussian((1, 4), 900, trial)
         t = 1 + trial % 50
         c = 1 + trial % 2
         e_u = predict_noise(model, None, z, None, t)

@@ -26,8 +26,7 @@ def test_pretrain_batch_gradient_matches_finite_differences(tiny_model):
         eps = seeded_gaussian((4, 4), 40 + seed, 1)
 
         def loss(cache=None):
-            return preference.sd_loss(tiny_model.forward(z, TOKENS, TIMES, cache=cache), eps,
-                                      grad=True)
+            return preference.sd_loss(tiny_model.forward(z, TOKENS, TIMES, cache=cache), eps)
 
         cache = []
         _, g = loss(cache)

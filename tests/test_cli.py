@@ -79,7 +79,8 @@ def test_options_without_default_are_required(tmp_path, capsys, command, option)
 
 
 def test_removed_options_rejected_in_config(tmp_path, capsys):
-    for command, key in (("sample", "preset"), ("localize", "s_align")):
+    for command, key in (("sample", "preset"), ("localize", "s_align"),
+                         ("inspect-schedule", "seed")):
         cfile = tmp_path / f"{command}.json"
         cfile.write_text(json.dumps({"command": command, key: 1}))
         assert cli.main([command, "--config", str(cfile)]) == cli.EXIT_BAD_CONFIG
@@ -295,6 +296,7 @@ def test_beta_sweep_structure(toy_stack, tmp_path):
 def _truncated_checkpoint(stack, tmp, monkeypatch):
     ckpt = tmp / "short.ckpt"
     ckpt.write_bytes((stack["pre"] / "reference.ckpt").read_bytes()[:30])
+    shutil.copy(stack["pre"] / "run.json", tmp)  # marked complete, so the cut is what fails
     return ["align", "--data", str(stack["data"]), "--ref", str(ckpt)]
 
 
@@ -334,6 +336,7 @@ def _with_manifest(tmp, manifest):
     root = tmp / "bad_data"
     root.mkdir()
     (root / "manifest.json").write_text(json.dumps(manifest))
+    (root / "run.json").write_text(json.dumps({"command": "gen-data"}))  # marked complete
     return ["pretrain", "--data", str(root)]
 
 
@@ -394,6 +397,20 @@ def _non_finite_config_value(stack, tmp, monkeypatch):
     cfile = tmp / "c.json"
     cfile.write_text(json.dumps({"command": "sample", "s_align": float("nan")}))
     return ["sample", "--config", str(cfile)] + _inputs(stack, "sample")
+
+
+def _samples_without_run_json(stack, tmp, monkeypatch):
+    # a killed sample stage leaves its runs but no run.json
+    samples = tmp / "samples"
+    assert cli.main(["sample", "--out", str(samples), "--condition", "stripes_spot", "--n", "1",
+                     "--steps", "2"] + _inputs(stack, "sample")) == 0
+    (samples / "run.json").unlink()
+    return ["eval"] + _inputs(stack, "eval") + ["--samples", str(samples)]
+
+
+def _dataset_without_run_json(stack, tmp, monkeypatch):
+    shutil.copytree(stack["data"], tmp / "data", ignore=shutil.ignore_patterns("run.json"))
+    return ["pretrain", "--data", str(tmp / "data")]
 
 
 def _inputs(stack, command):
@@ -488,6 +505,9 @@ def _nan_adam_step(*a, **kw):
     (_manifest_is_a_directory, cli.EXIT_MISSING_INPUT, "no manifest.json file in dataset"),
     (_out_is_a_file, cli.EXIT_MISSING_INPUT, "output is not a directory"),
     (_out_below_a_file, cli.EXIT_MISSING_INPUT, "Not a directory"),
+    # inputs of a run that did not complete: no run.json beside them
+    (_samples_without_run_json, cli.EXIT_MISSING_INPUT, "incomplete run (no run.json)"),
+    (_dataset_without_run_json, cli.EXIT_MISSING_INPUT, "incomplete run (no run.json)"),
 ])
 def test_failures_exit_with_documented_code(toy_stack, tmp_path, capsys, monkeypatch,
                                             case, code, message):
@@ -568,6 +588,7 @@ def fuzz_paths(toy_stack, tmp_path_factory):
     (root / "dir").mkdir()
     short = root / "short.ckpt"
     short.write_bytes((toy_stack["pre"] / "reference.ckpt").read_bytes()[:30])
+    shutil.copy(toy_stack["pre"] / "run.json", root)  # marked complete, so the cut is what fails
     (root / "dir_manifest" / "manifest.json").mkdir(parents=True)
     manifest = _stack_manifest(toy_stack)
     manifest["samples"][0]["category"] = 5
@@ -727,3 +748,60 @@ def test_package_gives_no_option_a_second_default():
                 continue
             found += [f"{path.stem}.{node.name}({n})" for n in names if n in options]
     assert found == [], found
+
+
+def _is_default(value) -> bool:
+    """A dataclass field value that gives a default: anything but field() without default=."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg == "default" for k in value.keywords)
+    return value is not None
+
+
+def test_package_passes_every_default_it_declares():
+    # a parameter default, or a dataclass field default, that no package call
+    # passes by keyword or by position is a setting only tests can change;
+    # calls are matched by the callee's name, a class call reaches __init__
+    # and the dataclass fields, and cli.main(argv) is the entry point
+    root = Path(__file__).resolve().parents[1]
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((root / "src" / "anomgen").glob("*.py"))}
+    passed: dict[str, tuple[int, set]] = {}  # callee: (most positional args, keywords)
+    for tree in trees.values():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            everything = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords)
+            n_pos, keywords = passed.get(name, (0, set()))
+            passed[name] = (math.inf if everything else max(n_pos, len(call.args)),
+                            keywords | {k.arg for k in call.keywords})
+    unpassed = []
+    for mod, tree in trees.items():
+        methods = {id(m): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for m in c.body if isinstance(m, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                declared = [(i, f.target.id, node.name) for i, f in enumerate(fields)
+                            if _is_default(f.value)]
+                qualname = f"{mod}.{node.name}.{{}}"
+            elif isinstance(node, ast.FunctionDef) and f"{mod}.{node.name}" != "cli.main":
+                cls = methods.get(id(node))
+                static = any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+                shift = 1 if cls and not static else 0  # self is not among a call's args
+                callee = cls.name if cls and node.name == "__init__" else node.name
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                declared = [(i - shift, arg.arg, callee)
+                            for i, arg in enumerate(positional) if i >= first]
+                declared += [(None, arg.arg, callee)
+                             for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                qualname = f"{mod}.{cls.name + '.' if cls else ''}{node.name}({{}})"
+            else:
+                continue
+            for index, param, callee in declared:
+                n_pos, keywords = passed.get(callee, (0, set()))
+                if param not in keywords and (index is None or index >= n_pos):
+                    unpassed.append(qualname.format(param))
+    assert unpassed == [], unpassed

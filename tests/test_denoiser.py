@@ -102,7 +102,7 @@ def test_mask_length_validation():
 
 def test_zero_adapter_identity(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
-    z = seeded_gaussian((4,), 3, 0)
+    z = seeded_gaussian((1, 4), 3, 0)
     for t in (1, 25, 50):
         with_adapters = predict_noise(tiny_model, adapters, z, 1, t, gate=gate)
         without = predict_noise(tiny_model, None, z, 1, t)
@@ -110,15 +110,15 @@ def test_zero_adapter_identity(tiny_model, tiny_adapters):
 
 
 def test_forward_deterministic(tiny_model):
-    z = seeded_gaussian((4,), 0, 7)
+    z = seeded_gaussian((1, 4), 0, 7)
     a = predict_noise(tiny_model, None, z, 2, 9)
     b = predict_noise(tiny_model, None, z, 2, 9)
     assert np.array_equal(a, b)
-    assert a.shape == (4,)
+    assert a.shape == (1, 4)
 
 
 def test_conditioning_matters(tiny_model):
-    z = seeded_gaussian((4,), 0, 8)
+    z = seeded_gaussian((1, 4), 0, 8)
     outs = [predict_noise(tiny_model, None, z, c, 5) for c in (None, 1, 2)]
     assert not np.array_equal(outs[0], outs[1])
     assert not np.array_equal(outs[1], outs[2])
@@ -130,11 +130,13 @@ def test_null_token_row_is_zero(tiny_model):
 
 def test_forward_errors(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
-    z = np.zeros(4)
+    z = np.zeros((1, 4))
     with pytest.raises(ValueError, match="token"):
         tiny_model.forward(z, 99, 5)
     with pytest.raises(ValueError, match="latent"):
-        tiny_model.forward(np.zeros(5), 1, 5)
+        tiny_model.forward(np.zeros((1, 5)), 1, 5)
+    with pytest.raises(ValueError, match="latent shape mismatch"):
+        tiny_model.forward(np.zeros(4), 1, 5)  # a single latent is a 1-row batch
     with pytest.raises(ValueError, match="gate"):
         tiny_model.forward(z, 1, 5, adapters=adapters, gate=None)
 
@@ -175,9 +177,10 @@ def test_batch_forward_matches_single_rows(tiny_model, tiny_adapters, adapted):
     batch = predict_noise(tiny_model, adapters, z, tokens, ts, gate=gate)
     assert batch.shape == (5, 4)
     for row in range(5):
-        single = predict_noise(tiny_model, adapters, z[row], tokens[row], ts[row], gate=gate)
-        assert single.shape == (4,)
-        assert np.max(np.abs(batch[row] - single)) <= 1e-12
+        single = predict_noise(tiny_model, adapters, z[row:row + 1], tokens[row], ts[row],
+                               gate=gate)
+        assert single.shape == (1, 4)
+        assert np.max(np.abs(batch[row] - single[0])) <= 1e-12
 
 
 def test_shared_token_and_timestep_broadcast(tiny_model, tiny_adapters):
@@ -196,7 +199,7 @@ def test_shared_token_and_timestep_broadcast(tiny_model, tiny_adapters):
 def test_unmerged_forward_matches_merged_weights(tiny_model, tiny_adapters):
     adapters, gate = tiny_adapters
     warm(adapters)
-    z = seeded_gaussian((4,), 23, 0)
+    z = seeded_gaussian((1, 4), 23, 0)
     for t in (0, 12, 37, 50):
         merged = Denoiser(latent_dim=4, hidden=8, n_tokens=3, seed=0)
         for layer, w in enumerate(merged.weights):

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anomgen.dataset import generate_dataset, load_dataset
 from anomgen.metrics import (ScoredPixels, auroc, average_precision, diversity_proxy,
                              f1_max)
 from anomgen.rng import seeded_gaussian, seeded_randint, seeded_uniform
+
+from oracles import reference_diversity
 
 
 def _pairs(seed, n):
@@ -125,28 +128,30 @@ def test_validation_errors():
 def test_diversity_two_image_oracle():
     a = np.zeros((4, 4))
     b = np.ones((4, 4))
-    assert diversity_proxy({"g": [a, b]}) == 1.0
-    assert diversity_proxy({"g": [a, a]}) == 0.0
+    assert diversity_proxy([a, b]) == 1.0
+    assert diversity_proxy([a, a]) == 0.0
 
 
 def test_diversity_three_image_loop_oracle():
     imgs = [seeded_gaussian((8, 8), 0, i) for i in range(3)]
     expect = np.mean([np.sqrt(np.mean((imgs[i] - imgs[j]) ** 2))
                       for i in range(3) for j in range(i + 1, 3)])
-    assert abs(diversity_proxy({"g": imgs}) - expect) < 1e-12
+    assert abs(diversity_proxy(imgs) - expect) < 1e-12
 
 
-def test_diversity_group_average():
-    a, b = np.zeros((2, 2)), np.ones((2, 2))
-    got = diversity_proxy({"g1": [a, b], "g2": [a, a]})
-    assert abs(got - 0.5) < 1e-15
+def test_diversity_group_average(tmp_path):
+    # the reference diversity of criterion 9 weights every condition equally
+    generate_dataset(tmp_path, seed=0, n_normal=1, n_anomaly=3, fraction=0.5)
+    refs = load_dataset(tmp_path)["reference"]
+    per_condition = [diversity_proxy([s.image for s in refs if s.token == k]) for k in range(1, 10)]
+    assert reference_diversity(tmp_path) == np.mean(per_condition)
 
 
 def test_diversity_errors():
-    with pytest.raises(ValueError):
-        diversity_proxy({})
     with pytest.raises(ValueError, match="at least 2"):
-        diversity_proxy({"g": [np.zeros((2, 2))]})
+        diversity_proxy([])
+    with pytest.raises(ValueError, match="at least 2"):
+        diversity_proxy([np.zeros((2, 2))])
 
 
 # -- property tests ------------------------------------------------------------

@@ -40,51 +40,51 @@ def test_deviation_shape_mismatch():
 
 
 def test_apo_loss_at_zero():
-    assert abs(apo_loss(0.0, 12.5) - np.log(2.0)) < 1e-12
+    assert abs(apo_loss(0.0, 12.5)[0] - np.log(2.0)) < 1e-12
 
 
 def test_apo_loss_closed_forms():
     # beta_t * delta = -ln 3  ->  loss = ln(4/3)
-    assert abs(apo_loss(-np.log(3.0), 1.0) - np.log(4.0 / 3.0)) < 1e-12
+    assert abs(apo_loss(-np.log(3.0), 1.0)[0] - np.log(4.0 / 3.0)) < 1e-12
     # large positive argument -> softplus asymptote
-    assert abs(apo_loss(50.0, 1.0) - 50.0) < 1e-9
+    assert abs(apo_loss(50.0, 1.0)[0] - 50.0) < 1e-9
     # large negative argument stays finite
-    assert apo_loss(-1000.0, 1.0) == 0.0
+    assert apo_loss(-1000.0, 1.0)[0] == 0.0
 
 
 def test_apo_loss_monotone_in_delta():
     deltas = np.linspace(-5, 5, 51)
-    losses = [apo_loss(d, 2.0) for d in deltas]
+    losses = [apo_loss(d, 2.0)[0] for d in deltas]
     assert all(a < b for a, b in zip(losses, losses[1:]))
 
 
 def test_apo_loss_tensor_path_matches_float():
     ds = np.array([-3.0, -0.1, 0.0, 0.5, 4.0])
-    rows, grad = apo_loss(ds, 1.7, grad=True)
+    rows, grad = apo_loss(ds, 1.7)
     assert rows.shape == grad.shape == (5,)
     for i, d in enumerate(ds):
-        assert abs(rows[i] - apo_loss(d, 1.7)) < 1e-12
+        assert abs(rows[i] - apo_loss(d, 1.7)[0]) < 1e-12
         # d/dd mean_i softplus(b*d_i) = b * sigmoid(b*d) / n
         expect = 1.7 / (1.0 + np.exp(-1.7 * d)) / len(ds)
         assert abs(grad[i] - expect) < 1e-12
     # one weight per row
     betas = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
-    rows, grad = apo_loss(ds, betas, grad=True)
+    rows, grad = apo_loss(ds, betas)
     for i, (d, b) in enumerate(zip(ds, betas)):
-        assert abs(rows[i] - apo_loss(d, b)) < 1e-12
+        assert abs(rows[i] - apo_loss(d, b)[0]) < 1e-12
         assert abs(grad[i] - b / (1.0 + np.exp(-b * d)) / len(ds)) < 1e-12
-    _, g1 = apo_loss(0.5, 1.7, grad=True)
+    _, g1 = apo_loss(0.5, 1.7)
     assert abs(float(g1) - 1.7 / (1.0 + np.exp(-1.7 * 0.5))) < 1e-12
 
 
 def test_sd_loss_examples_and_oracle():
     e = seeded_gaussian((6,), 1, 0)
-    assert sd_loss(e, e) == 0.0
-    assert sd_loss(np.ones(4), np.zeros(4)) == 1.0
+    assert sd_loss(e, e)[0] == 0.0
+    assert sd_loss(np.ones(4), np.zeros(4))[0] == 1.0
     a = seeded_gaussian((16,), 2, 0)
     b = seeded_gaussian((16,), 2, 1)
     expect = sum((a[i] - b[i]) ** 2 for i in range(16)) / 16
-    assert abs(sd_loss(a, b) - expect) < 1e-12
+    assert abs(sd_loss(a, b)[0] - expect) < 1e-12
     with pytest.raises(ValueError):
         sd_loss(np.zeros(3), np.zeros(4))
 
@@ -92,8 +92,8 @@ def test_sd_loss_examples_and_oracle():
 def test_sd_loss_tensor_path():
     a = seeded_gaussian((2, 8), 3, 0)
     b = seeded_gaussian((2, 8), 3, 1)
-    out, grad = sd_loss(a, b, grad=True)
-    assert out == sd_loss(a, b)
+    out, grad = sd_loss(a, b)
+    assert out == sd_loss(a, b)[0]
     assert abs(out - np.mean((a - b) ** 2)) < 1e-15
     assert np.allclose(grad, 2.0 * (a - b) / 16.0)
 

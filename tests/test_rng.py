@@ -44,6 +44,13 @@ def test_gaussian_stream_array_matches_stacked_scalar_calls(shape, ids):
     stacked = np.stack([seeded_gaussian(shape, 17, i) for i in ids])
     assert rows.shape == (len(ids),) + shape
     assert np.array_equal(rows.view(np.uint64), stacked.view(np.uint64))
+    # a sequence of seeds, Python ints of any size taken mod 2^64 as a scalar seed is
+    seeds = ids + [2**64 + ids[0], -ids[0], 10**340 + ids[-1]]
+    rows = seeded_gaussian(shape, seeds, 5100)
+    stacked = np.stack([seeded_gaussian(shape, seed, 5100) for seed in seeds])
+    assert rows.shape == (len(seeds),) + shape
+    assert np.array_equal(rows.view(np.uint64), stacked.view(np.uint64))
+    assert np.array_equal(rows[len(ids)], rows[0])  # 2^64 + s wraps to s
 
 
 def test_gaussian_empty_stream_array():

@@ -30,9 +30,9 @@ def warm_adapters(tiny_model, tiny_adapters):
 
 def test_guided_eps_null_condition_error(tiny_model):
     with pytest.raises(ValueError):
-        guided_eps(tiny_model, None, None, np.zeros(4), 0, 5, 3.0, 1.5)
+        guided_eps(tiny_model, None, None, np.zeros((1, 4)), 0, 5, 3.0, 1.5)
     with pytest.raises(ValueError):
-        guided_eps(tiny_model, None, None, np.zeros(4), None, 5, 3.0, 1.5)
+        guided_eps(tiny_model, None, None, np.zeros((1, 4)), None, 5, 3.0, 1.5)
 
 
 def test_guided_eps_reductions_bitexact(tiny_model, warm_adapters):
@@ -40,7 +40,7 @@ def test_guided_eps_reductions_bitexact(tiny_model, warm_adapters):
 
     adapters, gate = warm_adapters
     for trial in range(20):
-        z = seeded_gaussian((4,), trial, 0)
+        z = seeded_gaussian((1, 4), trial, 0)
         t = 1 + trial % 50
         e_u = predict_noise(tiny_model, None, z, None, t)
         e_c = predict_noise(tiny_model, None, z, 1, t)
@@ -54,7 +54,7 @@ def test_guided_eps_matches_telescoped_form(tiny_model, warm_adapters):
     from anomgen.denoiser import predict_noise
 
     adapters, gate = warm_adapters
-    z = seeded_gaussian((4,), 5, 0)
+    z = seeded_gaussian((1, 4), 5, 0)
     out, d_align = guided_eps(tiny_model, adapters, gate, z, 1, 10, 4.0, 2.5)
     e_u = predict_noise(tiny_model, None, z, None, 10)
     e_c = predict_noise(tiny_model, None, z, 1, 10)
@@ -65,7 +65,7 @@ def test_guided_eps_matches_telescoped_form(tiny_model, warm_adapters):
 
 def test_d_align_recorded_regardless_of_scales(tiny_model, warm_adapters):
     adapters, gate = warm_adapters
-    z = seeded_gaussian((4,), 6, 0)
+    z = seeded_gaussian((1, 4), 6, 0)
     _, d0 = guided_eps(tiny_model, adapters, gate, z, 1, 10, 0.0, 0.0)
     _, d1 = guided_eps(tiny_model, adapters, gate, z, 1, 10, 5.0, 3.0)
     assert np.array_equal(d0, d1)
@@ -73,9 +73,9 @@ def test_d_align_recorded_regardless_of_scales(tiny_model, warm_adapters):
 
 
 def test_guided_eps_without_adapters_zero_delta(tiny_model):
-    z = seeded_gaussian((4,), 7, 0)
+    z = seeded_gaussian((1, 4), 7, 0)
     _, d = guided_eps(tiny_model, None, None, z, 1, 10, 3.0, 1.5)
-    assert np.array_equal(d, np.zeros(4))
+    assert np.array_equal(d, np.zeros((1, 4)))
 
 
 # -- solver --------------------------------------------------------------------
@@ -232,8 +232,8 @@ def test_density_check_eta_zero_error(tiny_model, small):
 def test_density_check_small_residual(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     for seed in range(10):
-        z_t = seeded_gaussian((4,), seed, 0)
-        z_prev = seeded_gaussian((4,), seed, 1)
+        z_t = seeded_gaussian((1, 4), seed, 0)
+        z_prev = seeded_gaussian((1, 4), seed, 1)
         r = guided_log_density_check(small, z_t, z_prev, 1, 5 + seed, 1.0 + seed * 0.5,
                                      0.3 * seed, 0.7, tiny_model, adapters, gate)
         assert abs(r) < 1e-8
@@ -243,7 +243,7 @@ def test_density_check_small_residual(tiny_model, warm_adapters, small):
 
 
 def test_save_load_run_roundtrip(tmp_path, tiny_model, warm_adapters, small):
-    # each run directory holds the per-step t and ||delta_align||_2 and nothing else
+    # each run directory holds the decoded image and the per-step t and ||delta_align||_2
     adapters, gate = warm_adapters
     cfg = stage_config("sample", steps=6)
     z, ts, norms = sample(tiny_model, adapters, gate, 1, cfg, small, seeds=[2, 7])
@@ -252,9 +252,10 @@ def test_save_load_run_roundtrip(tmp_path, tiny_model, warm_adapters, small):
     _, d = guided_eps(tiny_model, adapters, gate, z_init, 1, ts[0], cfg["s_text"],
                       cfg["s_align"])
     assert norms[0] == [float(np.linalg.norm(d[row])) for row in range(2)]
-    save_run(z, ts, norms, [tmp_path / "r0", tmp_path / "r1"])
+    save_run(z, ts, norms, [tmp_path / "r0", tmp_path / "r1"], lambda latent: np.zeros((2, 2)))
     for row, name in enumerate(["r0", "r1"]):
-        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["delta_norms.csv"]
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["delta_norms.csv",
+                                                                       "sample.pgm"]
         with open(tmp_path / name / "delta_norms.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "delta_align_l2"]
@@ -271,4 +272,4 @@ def test_save_run_writes_image_when_decoding(tmp_path, tiny_model, warm_adapters
     assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["delta_norms.csv",
                                                                   "sample.pgm"]
     with pytest.raises(ValueError, match="directory"):
-        save_run(z, ts, norms, [tmp_path / "a", tmp_path / "b"])
+        save_run(z, ts, norms, [tmp_path / "a", tmp_path / "b"], lambda latent: latent)

@@ -34,11 +34,9 @@ def _ref(sched_tiny, steps=5):
 
 def test_pretrain_zero_steps_no_op(sched_tiny):
     cfg = stage_config("pretrain", steps=0, lr=1e-3, seed=0, batch=1)
-    base = Denoiser(latent_dim=4, seed=0)
-    before = [p.copy() for p in base.params]
-    model, log = pretrain_reference(_normal_set(), cfg, sched_tiny, model=base)
+    model, log = pretrain_reference(_normal_set(), cfg, sched_tiny)
     assert log.records == []
-    for p, b in zip(model.params, before):
+    for p, b in zip(model.params, Denoiser(latent_dim=4, seed=0).params):
         assert np.array_equal(p, b)
 
 
@@ -80,7 +78,8 @@ def test_pretrain_batch_loss_matches_single_row_oracle(sched_tiny):
         token = 0 if drop[d] else tokens[min(int(tok_u[d] * len(tokens)), len(tokens) - 1)]
         eps = seeded_gaussian((4,), 4, trainer._PRETRAIN_NOISE + d)
         z_t = sched.forward_noise(sched_tiny, z0, int(ts[d]), eps)
-        losses.append(np.mean((predict_noise(model, None, z_t, token, int(ts[d])) - eps) ** 2))
+        pred = predict_noise(model, None, z_t[None], token, int(ts[d]))
+        losses.append(np.mean((pred - eps) ** 2))
     assert abs(log.records[0]["loss"] - np.mean(losses)) <= 1e-12
     assert log.records[0]["t"] == ts[0]
 
@@ -88,15 +87,15 @@ def test_pretrain_batch_loss_matches_single_row_oracle(sched_tiny):
 def test_evaluate_mean_delta_matches_per_draw_oracle(sched_tiny):
     model, cfg = _ref(sched_tiny)
     adapters, gate, _ = align(model, _anomaly_set(), cfg, sched_tiny)
-    got = evaluate_mean_delta(model, adapters, gate, _anomaly_set(), sched_tiny, 2,
-                              n_draws_per_sample=5)
-    ts = 1 + trainer.seeded_randint(sched_tiny.T, (3, 5), 2, trainer._S_T + 50)
+    got = evaluate_mean_delta(model, adapters, gate, _anomaly_set(), sched_tiny, 2)
+    n = trainer._EVAL_DRAWS
+    ts = 1 + trainer.seeded_randint(sched_tiny.T, (3, n), 2, trainer._S_T + 50)
     deltas = []
     for i, (z0, token) in enumerate(_anomaly_set()):
-        for k in range(5):
+        for k in range(n):
             t = int(ts[i, k])
-            eps = seeded_gaussian((4,), 2, trainer._EVAL_NOISE + i * 5 + k)
-            z_t = sched.forward_noise(sched_tiny, z0, t, eps)
+            eps = seeded_gaussian((4,), 2, trainer._EVAL_NOISE + i * n + k)
+            z_t = sched.forward_noise(sched_tiny, z0, t, eps)[None]
             e_th = predict_noise(model, adapters, z_t, token, t, gate=gate)
             e_ref = predict_noise(model, None, z_t, token, t)
             deltas.append(np.sum((e_th - eps) ** 2) - np.sum((e_ref - eps) ** 2))
@@ -157,11 +156,11 @@ def test_align_empty_set(sched_tiny):
 
 
 def test_divergence_error(sched_tiny):
+    with pytest.raises(DivergenceError):
+        pretrain_reference([(np.full(4, np.nan), [1, 2])], stage_config(
+            "pretrain", steps=1, lr=1e-3, seed=0, batch=1), sched_tiny)
     model, _ = _ref(sched_tiny)
     model.params[0][0, 0] = np.nan
-    with pytest.raises(DivergenceError):
-        pretrain_reference(_normal_set(), stage_config("pretrain", steps=1, lr=1e-3, seed=0,
-                                                        batch=1), sched_tiny, model=model)
     with pytest.raises(DivergenceError):
         align(model, _anomaly_set(), stage_config("align", steps=1, lr=1e-3, seed=0, kmin=1,
                                                    kmax=4), sched_tiny)
