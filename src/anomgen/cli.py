@@ -9,9 +9,10 @@ succeeded are they written, seeds included, to run.json under --out, so a
 directory without run.json holds an incomplete run, which no command reads.
 Every stage reruns bit-identically from its run.json.
 
-Exit codes: 0 success, 2 invalid configuration, 3 missing input
-artifact or another I/O error, 4 numerical divergence: a non-finite
-value anywhere in a stage.
+Exit codes: 0 success, 2 invalid configuration (a malformed or
+non-finite checkpoint or map included), 3 missing input artifact or
+another I/O error, 4 numerical divergence: a non-finite value computed
+during a stage.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import pipeline
 from .dataset import CONDITIONS, SPLITS
-from .optim import DivergenceError
 from .schedule import KINDS
 
 EXIT_BAD_CONFIG = 2
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _run(args.command, resolve_config(args.command, args))
-    except (ValueError, OSError, DivergenceError, FloatingPointError) as e:
+    except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, ValueError):
             return EXIT_BAD_CONFIG

@@ -44,8 +44,6 @@ class TemporalGate:
 
 def gate_dims(gate: TemporalGate, t: int) -> int:
     """k(t) = floor(k_min + (k_max - k_min) * (T - t) / T)."""
-    if not (0 <= t <= gate.T):
-        raise ValueError(f"timestep {t} outside [0, {gate.T}]")
     return int(np.floor(gate.k_min + (gate.k_max - gate.k_min) * (gate.T - t) / gate.T))
 
 

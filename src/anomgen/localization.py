@@ -22,8 +22,6 @@ def upsample_bilinear(m: np.ndarray, target_dims) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     th, tw = int(target_dims[0]), int(target_dims[1])
     sh, sw = m.shape[-2:]
-    if th < sh or tw < sw:
-        raise ValueError("target dims must be >= source dims")
     if (th, tw) == (sh, sw):
         return m.copy()
 
@@ -59,8 +57,6 @@ def accumulate_map(steps, gate: TemporalGate, target_dims) -> np.ndarray:
         mag = mag.reshape(mag.shape[:-1] + (side, side))
         total = total + gate_dims(gate, int(t)) * upsample_bilinear(mag, target_dims)
         n += 1
-    if not n:
-        raise ValueError("empty trajectory")
     return total / n
 
 
@@ -77,8 +73,6 @@ def smooth(m: np.ndarray) -> np.ndarray:
 def normalize_and_smooth(m: np.ndarray) -> np.ndarray:
     """P = Smooth((M - min) / (max - min)); a constant M maps to all zeros."""
     m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("map must be finite")
     lo, hi = float(m.min()), float(m.max())
     if hi <= lo:
         # no deviation evidence anywhere; do not manufacture patterns

@@ -5,10 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class DivergenceError(RuntimeError):
-    """Raised when a training loss or gradient stops being finite."""
-
-
 class Adam:
     """First/second moments per parameter, the step count, and two scratch arrays."""
 
@@ -28,25 +24,15 @@ class Adam:
 def adam_step(opt: Adam, grads) -> None:
     """Apply one Adam update to opt.params in place, one gradient per parameter.
 
-    A non-finite gradient raises DivergenceError before any parameter is
-    touched.  m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
+    m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
     p -= (lr (m/c1)) / (sqrt(v/c2) + eps) run one ufunc at a time into m, v,
     p or a scratch view, so a step allocates nothing parameter-sized.
     """
-    params = opt.params
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
-    for p, g in zip(params, grads):
-        if g.shape != p.shape:
-            raise ValueError("gradient shape mismatch")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient")
-
     opt.step_count += 1
     t = opt.step_count
     b1, b2, eps = 0.9, 0.999, 1e-8
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+    for p, g, m, v in zip(opt.params, grads, opt.m, opt.v):
         a, b = (s[:p.size].reshape(p.shape) for s in opt.scratch)
         np.multiply(m, b1, out=m)
         np.multiply(g, 1.0 - b1, out=a)

@@ -17,8 +17,6 @@ def alignment_deviation(eps_theta_hat, eps_ref_hat, eps):
     a = np.asarray(eps_theta_hat, dtype=np.float64)
     b = np.asarray(eps_ref_hat, dtype=np.float64)
     e = np.asarray(eps, dtype=np.float64)
-    if a.shape != b.shape or a.shape != e.shape:
-        raise ValueError("shape mismatch")
     return np.sum((a - e) ** 2, axis=-1) - np.sum((b - e) ** 2, axis=-1)
 
 
@@ -39,8 +37,6 @@ def sd_loss(eps_hat, eps):
     """Mean squared error of a noise prediction and its gradient d loss / d eps_hat."""
     a = np.asarray(eps_hat, dtype=np.float64)
     e = np.asarray(eps, dtype=np.float64)
-    if a.shape != e.shape:
-        raise ValueError("shape mismatch")
     d = a - e
     gd = d * (1.0 / d.size)
     return float(np.mean(d * d)), gd + gd

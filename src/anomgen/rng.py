@@ -72,8 +72,6 @@ def seeded_gaussian(shape, seed, stream_id) -> np.ndarray:
     to the call with that seed or id alone.
     """
     shape = tuple(int(d) for d in shape)
-    if not shape:
-        raise ValueError("shape must be non-empty")
     n = int(np.prod(shape))
     m = (n + 1) // 2
     idx = np.arange(2 * m, dtype=np.uint64)
@@ -87,7 +85,5 @@ def seeded_gaussian(shape, seed, stream_id) -> np.ndarray:
 
 def seeded_randint(n_values: int, shape, seed: int, stream_id: int) -> np.ndarray:
     """Deterministic integers uniform on {0, ..., n_values-1}."""
-    if n_values < 1:
-        raise ValueError("n_values must be >= 1")
     u = seeded_uniform(shape, seed, stream_id)
     return np.minimum((u * n_values).astype(np.int64), n_values - 1)

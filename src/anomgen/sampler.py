@@ -28,8 +28,6 @@ def guided_eps(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGa
                z_t: np.ndarray, c: int, t: int,
                s_text: float, s_align: float) -> tuple[np.ndarray, np.ndarray]:
     """Three-term guided prediction plus the raw alignment delta."""
-    if c is None or int(c) == 0:
-        raise ValueError("guided sampling requires a non-null condition")
     e_uncond = predict_noise(reference, None, z_t, None, t)
     e_cond = predict_noise(reference, None, z_t, c, t)
     if adapters is not None:
@@ -48,8 +46,6 @@ def ddim_step(s: sched.NoiseSchedule, z_t: np.ndarray, eps_hat: np.ndarray,
               t: int, t_prev: int, eta: float, clip: float,
               noise: np.ndarray | None = None) -> np.ndarray:
     """One solver update from level t down to level t_prev; the z0 prediction is clamped to clip."""
-    if t_prev >= t:
-        raise ValueError("t_prev must be < t")
     z_t = np.asarray(z_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     z0_pred = (z_t - s.sigma[t] * eps_hat) / s.alpha[t]
@@ -62,8 +58,6 @@ def ddim_step(s: sched.NoiseSchedule, z_t: np.ndarray, eps_hat: np.ndarray,
     direction = np.sqrt(max(1.0 - abar_prev - sig**2, 0.0)) * eps_hat
     out = s.alpha[t_prev] * z0_pred + direction
     if sig > 0.0:
-        if noise is None:
-            raise ValueError("eta > 0 requires noise")
         out = out + sig * np.asarray(noise, dtype=np.float64)
     return out
 
@@ -84,8 +78,6 @@ def sample(reference: Denoiser, adapters: LoraStack | None, gate: TemporalGate |
     cfg supplies steps, eta, clip, s_text and s_align.
     """
     seeds = [int(x) for x in seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
     shape = (reference.latent_dim,)
     visits = visit_schedule(s.T, cfg["steps"])
     z = seeded_gaussian(shape, seeds, _S_INIT)
@@ -113,8 +105,6 @@ def deviation_run(reference: Denoiser, adapters: LoraStack, gate: TemporalGate,
     real images rather than generated ones; bad arguments raise on first use.
     """
     z0 = np.asarray(z0, dtype=np.float64)
-    if z0.ndim != 2:
-        raise ValueError("deviation_run takes a (B, D) batch of latents")
     for i, t in enumerate(visit_schedule(s.T, steps)):
         eps = seeded_gaussian(z0.shape[1:], seed, _S_DEVIATION + i)
         z_t = sched.forward_noise(s, z0, t, np.broadcast_to(eps, z0.shape))
@@ -125,9 +115,6 @@ def deviation_run(reference: Denoiser, adapters: LoraStack, gate: TemporalGate,
 
 def save_run(z: np.ndarray, timesteps, norms, outdirs, decode) -> None:
     """Persist row b of sample's (z, timesteps, norms) to outdirs[b]: image and delta norms."""
-    outdirs = list(outdirs)
-    if len(outdirs) != len(z):
-        raise ValueError("need one output directory per run")
     for b, outdir in enumerate(outdirs):
         os.makedirs(outdir, exist_ok=True)
         write_pgm(os.path.join(outdir, "sample.pgm"), decode(z[b]))

@@ -53,8 +53,6 @@ def forward_noise(s: NoiseSchedule, z0: np.ndarray, t, eps: np.ndarray) -> np.nd
     """z_t = alpha_t * z0 + sigma_t * eps; t is one level, or one per row of a (B, D) z0."""
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    if z0.shape != eps.shape:
-        raise ValueError("z0/eps shape mismatch")
     t = np.asarray(t)
     _check_t(s, t, low=0)
     alpha, sigma = s.alpha[t], s.sigma[t]
@@ -65,8 +63,6 @@ def forward_noise(s: NoiseSchedule, z0: np.ndarray, t, eps: np.ndarray) -> np.nd
 
 def log_snr_slope(s: NoiseSchedule, t: int) -> float:
     """Backward difference lam[t] - lam[t-1]; negative since lam decreases."""
-    if t == 0:
-        raise ValueError("slope undefined at first step")
     _check_t(s, t, low=1)
     return float(s.lam[t] - s.lam[t - 1])
 

@@ -38,7 +38,10 @@ def read_tensor(fh) -> np.ndarray:
     buf = fh.read(8 * n)
     if len(buf) != 8 * n:
         raise ValueError("truncated tensor payload")
-    return np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+    arr = np.frombuffer(buf, dtype="<f8")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite value in tensor payload: {fh.name}")
+    return arr.reshape(shape).astype(np.float64)
 
 
 def save_tensor(path, arr: np.ndarray) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from anomgen import dataset, metrics, schedule as sched
 from anomgen.denoiser import Denoiser, LoraStack, TemporalGate, gate_matrix, predict_noise
-from anomgen.optim import Adam, DivergenceError
+from anomgen.optim import Adam
 from anomgen.rng import seeded_gaussian, seeded_randint
 from anomgen.sampler import guided_eps
 
@@ -206,19 +206,10 @@ def adam_step_allocating(opt: Adam, grads) -> None:
 
     The in-place step must match it bit for bit; it rebinds opt.m and opt.v.
     """
-    params = opt.params
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
-    for p, g in zip(params, grads):
-        if g.shape != p.shape:
-            raise ValueError("gradient shape mismatch")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient")
-
     opt.step_count += 1
     t = opt.step_count
     b1, b2, eps = 0.9, 0.999, 1e-8
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for i, (p, g) in enumerate(zip(opt.params, grads)):
         opt.m[i] = b1 * opt.m[i] + (1.0 - b1) * g
         opt.v[i] = b2 * opt.v[i] + (1.0 - b2) * g * g
         m_hat = opt.m[i] / (1.0 - b1**t)

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from anomgen import cli
-from anomgen.optim import Adam, adam_step
-from anomgen.trainer import DivergenceError
+from anomgen import cli, tensorio
+from anomgen.denoiser import load_adapters, load_reference, save_adapters, save_reference
 
 
 def _tiny_args(out):
@@ -99,16 +98,13 @@ def test_missing_input_artifact_exit_3(tmp_path):
     assert rc == cli.EXIT_MISSING_INPUT
 
 
-def test_divergence_exit_4(tmp_path, monkeypatch):
+def test_divergence_exit_4(tmp_path, capsys):
+    # the step size overflows the weights, and the next forward's matmul raises
     assert cli.main(_tiny_args(tmp_path / "d")) == 0
-
-    def boom(*a, **kw):
-        raise DivergenceError("diverged at pretrain step 0")
-
-    monkeypatch.setattr(cli.pipeline, "run_pretrain", boom)
-    rc = cli.main(["pretrain", "--data", str(tmp_path / "d"),
-                   "--out", str(tmp_path / "o")])
+    rc = cli.main(["pretrain", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o"),
+                   "--steps", "3", "--lr", "1e300"])
     assert rc == cli.EXIT_DIVERGED
+    assert "overflow" in capsys.readouterr().err
     assert not (tmp_path / "o" / "run.json").exists()
 
 
@@ -290,6 +286,50 @@ def test_beta_sweep_structure(toy_stack, tmp_path):
     assert np.array_equal(2.0 * beta_ts[0], beta_ts[1])
 
 
+def test_int_config_value_for_float_option_runs(toy_stack, tmp_path):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"command": "align", "lr": 1}))
+    out = tmp_path / "al"
+    assert cli.main(["align", "--config", str(cfile), "--out", str(out), "--steps", "1",
+                     "--kmin", "1", "--kmax", "4"] + _inputs(toy_stack, "align")) == 0
+    lr = json.loads((out / "run.json").read_text())["lr"]
+    assert lr == 1.0 and type(lr) is float
+
+
+def test_pgm_comment_line_loads(toy_stack, tmp_path):
+    # a comment after the magic line changes no pixel, so pretraining is unchanged
+    data = tmp_path / "data"
+    shutil.copytree(toy_stack["data"], data)
+    for pgm in data.glob("*/normal/*.pgm"):
+        magic, rest = pgm.read_bytes().split(b"\n", 1)
+        pgm.write_bytes(magic + b"\n# written by another tool\n" + rest)
+    pre = tmp_path / "pre"
+    assert cli.main(["pretrain", "--data", str(data), "--out", str(pre),
+                     "--t-steps", "20", "--steps", "3", "--batch", "2"]) == 0
+    assert ((pre / "reference.ckpt").read_bytes()
+            == (toy_stack["pre"] / "reference.ckpt").read_bytes())
+
+
+def test_untrained_adapters_give_zero_maps_that_eval_scores(toy_stack, tmp_path):
+    # with B still zero the adapters change nothing, so every raw map is constant
+    al, maps, ev = tmp_path / "al", tmp_path / "maps", tmp_path / "eval"
+    assert cli.main(["align", "--out", str(al), "--steps", "0", "--kmin", "1", "--kmax", "4"]
+                    + _inputs(toy_stack, "align")) == 0
+    assert cli.main(["localize", "--ref", str(toy_stack["pre"] / "reference.ckpt"),
+                     "--adapters", str(al / "adapters.ckpt"), "--data", str(toy_stack["data"]),
+                     "--out", str(maps), "--steps", "2"]) == 0
+    p_maps = sorted(maps.glob("*.p.f64"))
+    assert len(p_maps) == 18
+    for path in p_maps:
+        assert not tensorio.load_tensor(path).any()
+    assert cli.main(["eval", "--data", str(toy_stack["data"]), "--maps", str(maps),
+                     "--out", str(ev)]) == 0
+    with open(ev / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    assert all(float(r["auroc"]) == 0.5 for r in rows)  # every pixel ties
+
+
 # -- documented exit codes for bad inputs ---------------------------------------
 
 
@@ -436,14 +476,65 @@ def _single_step_schedule(stack, tmp, monkeypatch):
     return ["pretrain", "--data", str(stack["data"]), "--t-steps", "1"]
 
 
-def _non_finite_gradient(stack, tmp, monkeypatch):
-    monkeypatch.setattr(cli.pipeline.trainer, "pretrain_reference", _nan_adam_step)
-    return ["pretrain", "--data", str(stack["data"]), "--steps", "1"]
+def _nan_checkpoints(stack, tmp, monkeypatch):
+    """Relative paths (so the error names them in full) of the toy checkpoints with one NaN."""
+    monkeypatch.chdir(tmp)
+    os.mkdir("nan")
+    shutil.copy(stack["pre"] / "run.json", "nan")  # marked complete, so the NaN is what fails
+    model, kind, T = load_reference(stack["pre"] / "reference.ckpt")
+    adapters, gate, _, _ = load_adapters(stack["al"] / "adapters.ckpt", model)
+    adapters.A[1][0, 0] = np.nan
+    save_adapters("nan/adapters.ckpt", adapters, gate, kind, T, model)
+    model.weights[1][0, 0] = np.nan
+    save_reference("nan/reference.ckpt", model, kind, T)
+    return "nan/reference.ckpt", "nan/adapters.ckpt"
 
 
-def _nan_adam_step(*a, **kw):
-    p = np.zeros(2)
-    adam_step(Adam([p], learning_rate=0.1), grads=[np.array([np.nan, 0.0])])
+def _nan_reference(command):
+    """A case that runs command on the toy stack with a NaN weight in reference.ckpt."""
+    def case(stack, tmp, monkeypatch):
+        argv = [command] + _inputs(stack, command)
+        argv[argv.index("--ref") + 1] = _nan_checkpoints(stack, tmp, monkeypatch)[0]
+        return argv
+    case.__name__ = f"{command} with a NaN reference"
+    return case
+
+
+def _nan_adapters(stack, tmp, monkeypatch):
+    argv = ["sample"] + _inputs(stack, "sample")
+    argv[argv.index("--adapters") + 1] = _nan_checkpoints(stack, tmp, monkeypatch)[1]
+    return argv
+
+
+def _nan_map(stack, tmp, monkeypatch):
+    # a map that loads after finite ones, so the check runs per map, not once
+    monkeypatch.chdir(tmp)
+    assert cli.main(["localize", "--out", "maps", "--steps", "2"]
+                    + _inputs(stack, "localize")) == 0
+    tensorio.save_tensor("maps/checker_spot_002.p.f64", np.full((32, 32), np.nan))
+    return ["eval", "--data", str(stack["data"]), "--maps", "maps"]
+
+
+def _adapters_as_reference(stack, tmp, monkeypatch):
+    return ["align", "--data", str(stack["data"]), "--ref", str(stack["al"] / "adapters.ckpt")]
+
+
+def _adapters_of_another_schedule(stack, tmp, monkeypatch):
+    # adapters aligned on a cosine reference, loaded beside the linear one
+    data, pre, al = str(stack["data"]), str(tmp / "pre"), str(tmp / "al")
+    assert cli.main(["pretrain", "--data", data, "--out", pre, "--t-steps", "20",
+                     "--steps", "1", "--batch", "2", "--kind", "cosine"]) == 0
+    assert cli.main(["align", "--data", data, "--ref", pre + "/reference.ckpt", "--out", al,
+                     "--steps", "1", "--kmin", "1", "--kmax", "4"]) == 0
+    argv = ["sample"] + _inputs(stack, "sample")
+    argv[argv.index("--adapters") + 1] = al + "/adapters.ckpt"
+    return argv
+
+
+def _config_is_a_list(stack, tmp, monkeypatch):
+    cfile = tmp / "c.json"
+    cfile.write_text(json.dumps([{"command": "pretrain"}]))
+    return ["pretrain", "--config", str(cfile)] + _inputs(stack, "pretrain")
 
 
 @pytest.mark.parametrize("case, code, message", [
@@ -462,7 +553,22 @@ def _nan_adam_step(*a, **kw):
      "sample 0 has split 'test'; valid: normal, reference, eval"),
     (_config_is_a_directory, cli.EXIT_MISSING_INPUT, "missing config file"),
     (_single_step_schedule, cli.EXIT_BAD_CONFIG, "t_steps must be >= 2"),
-    (_non_finite_gradient, cli.EXIT_DIVERGED, "non-finite gradient"),
+    (_config_is_a_list, cli.EXIT_BAD_CONFIG, "config file must hold a JSON object"),
+    # checkpoints and maps that hold a NaN: rejected as they load, naming the file
+    (_nan_reference("align"), cli.EXIT_BAD_CONFIG,
+     "non-finite value in tensor payload: nan/reference.ckpt"),
+    (_nan_reference("beta-sweep"), cli.EXIT_BAD_CONFIG,
+     "non-finite value in tensor payload: nan/reference.ckpt"),
+    (_nan_reference("localize"), cli.EXIT_BAD_CONFIG,
+     "non-finite value in tensor payload: nan/reference.ckpt"),
+    (_nan_reference("sample"), cli.EXIT_BAD_CONFIG,
+     "non-finite value in tensor payload: nan/reference.ckpt"),
+    (_nan_adapters, cli.EXIT_BAD_CONFIG, "non-finite value in tensor payload: nan/adapters.ckpt"),
+    (_nan_map, cli.EXIT_BAD_CONFIG,
+     "non-finite value in tensor payload: maps/checker_spot_002.p.f64"),
+    # checkpoints of the wrong role or of another schedule
+    (_adapters_as_reference, cli.EXIT_BAD_CONFIG, "does not hold reference weights"),
+    (_adapters_of_another_schedule, cli.EXIT_BAD_CONFIG, "adapter/reference schedule mismatch"),
     # out-of-domain values, rejected before any stage code runs
     (_flags("pretrain", "--steps", "1", "--lr", "nan"), cli.EXIT_BAD_CONFIG, "lr must be finite"),
     (_flags("pretrain", "--lr", "-1"), cli.EXIT_BAD_CONFIG, "lr must be > 0"),
@@ -498,6 +604,7 @@ def _nan_adam_step(*a, **kw):
             "1e300"), cli.EXIT_DIVERGED, "overflow encountered"),
     (_flags("align", "--steps", "2", "--beta", "1e308"), cli.EXIT_DIVERGED,
      "overflow encountered"),
+    (_flags("align", "--steps", "3", "--lr", "1e300"), cli.EXIT_DIVERGED, "overflow encountered"),
     (_manifest_sample_category_not_a_str, cli.EXIT_BAD_CONFIG,
      "sample 0 has category=5 of type int"),
     # artifacts of the wrong kind, and I/O errors
@@ -748,6 +855,22 @@ def test_package_gives_no_option_a_second_default():
                 continue
             found += [f"{path.stem}.{node.name}({n})" for n in names if n in options]
     assert found == [], found
+
+
+def test_package_checks_finiteness_only_where_values_enter():
+    # config floats are checked in cli._checked and checkpoint and map
+    # payloads in tensorio.read_tensor; dataset pixels are uint8 and manifest
+    # fields ints and strings, and a non-finite value that a stage computes
+    # raises under cli._run's errstate, so no other function checks again
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted((root / "src" / "anomgen").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and "isfinite" in (
+                    getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+                    for c in ast.walk(node) if isinstance(c, ast.Call)):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == {"cli._checked", "tensorio.read_tensor"}, found
 
 
 def _is_default(value) -> bool:

@@ -46,11 +46,6 @@ def test_gate_validation():
         TemporalGate(k_min=0, k_max=4, T=10)
     with pytest.raises(ValueError):
         TemporalGate(k_min=5, k_max=4, T=10)
-    g = TemporalGate(k_min=1, k_max=4, T=10)
-    with pytest.raises(ValueError):
-        gate_dims(g, 11)
-    with pytest.raises(ValueError):
-        gate_dims(g, -1)
 
 
 # -- adapters ------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from anomgen.denoiser import TemporalGate, gate_dims
 from anomgen.localization import (accumulate_map, normalize_and_smooth, smooth,
@@ -57,11 +56,6 @@ def test_upsample_corners_preserved():
     assert out[-1, -1] == m[-1, -1]
 
 
-def test_upsample_downsample_error():
-    with pytest.raises(ValueError):
-        upsample_bilinear(np.zeros((4, 4)), (2, 4))
-
-
 # -- accumulation --------------------------------------------------------------
 
 
@@ -93,14 +87,6 @@ def test_accumulate_with_upsampling():
     run = _run_with([5], [np.array([0.0, 1.0, 0.0, 1.0])])
     out = accumulate_map(run, g, (2, 3))
     assert np.allclose(out, [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
-
-
-def test_accumulate_empty_error():
-    g = TemporalGate(k_min=1, k_max=4, T=10)
-    with pytest.raises(ValueError):
-        accumulate_map(_run_with([], []), g, (2, 2))
-    with pytest.raises(ValueError):
-        accumulate_map(iter(()), g, (2, 2))
 
 
 def test_accumulate_streams_a_one_shot_generator():
@@ -145,10 +131,3 @@ def test_normalize_range_and_scale_invariance():
     assert p.min() >= 0.0 and p.max() <= 1.0
     # positive affine reparameterizations cannot change the output
     assert np.allclose(normalize_and_smooth(5.0 * m + 3.0), p, atol=1e-12)
-
-
-def test_normalize_non_finite_error():
-    m = np.zeros((3, 3))
-    m[1, 1] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        normalize_and_smooth(m)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anomgen.optim import Adam, DivergenceError, adam_step
+from anomgen.optim import Adam, adam_step
 from anomgen.rng import seeded_gaussian
 
 from oracles import adam_step_allocating
@@ -31,16 +31,6 @@ def test_quadratic_convergence():
     for _ in range(100):
         opt.step([2.0 * p])  # d(p^2)/dp
     assert abs(p) < 0.05
-
-
-def test_non_finite_gradient_rejected_without_update():
-    p = np.array([1.0, 2.0])
-    opt = Adam([p], learning_rate=0.1)
-    before = p.copy()
-    with pytest.raises(DivergenceError, match="non-finite gradient"):
-        adam_step(opt, grads=[np.array([np.nan, 0.0])])
-    assert np.array_equal(p, before)
-    assert opt.step_count == 0
 
 
 def test_shape_mismatch_rejected():

@@ -18,11 +18,6 @@ def test_gaussian_moments():
     assert abs(g.var() - 1.0) < 6e-3
 
 
-def test_gaussian_empty_shape_rejected():
-    with pytest.raises(ValueError):
-        seeded_gaussian((), 0, 0)
-
-
 def test_gaussian_zero_sized():
     out = seeded_gaussian((0, 3), 0, 0)
     assert out.shape == (0, 3)
@@ -87,11 +82,6 @@ def test_randint_bounds():
     assert r.max() <= 6
     # every value appears for a healthy generator
     assert set(np.unique(r)) == set(range(7))
-
-
-def test_randint_invalid():
-    with pytest.raises(ValueError):
-        seeded_randint(0, (3,), 0, 0)
 
 
 def test_gaussian_finite():

@@ -28,13 +28,6 @@ def warm_adapters(tiny_model, tiny_adapters):
 # -- guided prediction ---------------------------------------------------------
 
 
-def test_guided_eps_null_condition_error(tiny_model):
-    with pytest.raises(ValueError):
-        guided_eps(tiny_model, None, None, np.zeros((1, 4)), 0, 5, 3.0, 1.5)
-    with pytest.raises(ValueError):
-        guided_eps(tiny_model, None, None, np.zeros((1, 4)), None, 5, 3.0, 1.5)
-
-
 def test_guided_eps_reductions_bitexact(tiny_model, warm_adapters):
     from anomgen.denoiser import predict_noise
 
@@ -81,13 +74,6 @@ def test_guided_eps_without_adapters_zero_delta(tiny_model):
 # -- solver --------------------------------------------------------------------
 
 
-def test_ddim_step_validation(small):
-    with pytest.raises(ValueError):
-        ddim_step(small, np.zeros(2), np.zeros(2), 5, 5, 0.0, np.inf)
-    with pytest.raises(ValueError):
-        ddim_step(small, np.zeros(2), np.zeros(2), 5, 2, 0.5, np.inf)
-
-
 def test_ddim_step_terminal_returns_z0(small):
     z0 = np.array([0.3, -0.4])
     eps = np.array([1.0, -0.5])
@@ -123,11 +109,6 @@ def test_ddim_step_z0_clip(small):
     assert out[0] == 2.0
     out_free = ddim_step(small, z_t, eps, 40, 0, 0.0, clip=np.inf)
     assert out_free[0] > 2.0
-
-
-def test_ddim_step_stochastic_requires_noise(small):
-    with pytest.raises(ValueError, match="noise"):
-        ddim_step(small, np.zeros(2), np.zeros(2), 10, 5, 1.0, np.inf)
 
 
 # -- schedule of visits --------------------------------------------------------
@@ -173,12 +154,6 @@ def test_sample_batch_matches_single_seed_runs(tiny_model, warm_adapters, small,
             assert abs(a[0] - b[row]) <= 1e-12
 
 
-def test_sample_needs_a_seed(tiny_model, warm_adapters, small):
-    adapters, gate = warm_adapters
-    with pytest.raises(ValueError, match="seed"):
-        sample(tiny_model, adapters, gate, 1, stage_config("sample", steps=2), small, seeds=[])
-
-
 def test_sample_latents_bounded_by_clip(tiny_model, warm_adapters, small):
     adapters, gate = warm_adapters
     cfg = stage_config("sample", s_text=2.0, s_align=1.0, steps=10, clip=2.0)
@@ -203,8 +178,6 @@ def test_deviation_run(tiny_model, warm_adapters, small):
         assert a.shape == (1, 4)
         assert np.array_equal(a, b)
     assert any(np.any(d != 0.0) for _, d in r1)
-    with pytest.raises(ValueError, match="batch"):
-        list(deviation_run(tiny_model, adapters, gate, z0[0], 2, 8, small, seed=3))
 
 
 def test_deviation_run_batch_matches_single_rows(tiny_model, warm_adapters, small):
@@ -271,5 +244,3 @@ def test_save_run_writes_image_when_decoding(tmp_path, tiny_model, warm_adapters
     save_run(z, ts, norms, [tmp_path / "r"], decode=lambda latent: np.full((2, 2), 0.5))
     assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["delta_norms.csv",
                                                                   "sample.pgm"]
-    with pytest.raises(ValueError, match="directory"):
-        save_run(z, ts, norms, [tmp_path / "a", tmp_path / "b"], lambda latent: latent)

@@ -70,7 +70,7 @@ def test_log_snr_slope_negative_everywhere():
 
 def test_log_snr_slope_t0_error():
     s = sched.build_schedule(10, "linear")
-    with pytest.raises(ValueError, match="slope undefined"):
+    with pytest.raises(ValueError, match="outside"):
         sched.log_snr_slope(s, 0)
 
 
@@ -90,7 +90,7 @@ def test_beta_weight_linearity_bitexact(sched_1000):
 
 
 def test_beta_weight_errors(sched_1000):
-    with pytest.raises(ValueError, match="slope undefined"):
+    with pytest.raises(ValueError, match="outside"):
         sched.beta_weight(sched_1000, 1000.0, 0)
     with pytest.raises(ValueError, match="outside"):
         sched.beta_weight(sched_1000, 1000.0, 1001)

@@ -48,3 +48,15 @@ def test_multiple_tensors_in_stream():
     buf.seek(0)
     assert np.array_equal(tensorio.read_tensor(buf), a)
     assert np.array_equal(tensorio.read_tensor(buf), b)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected(value, tmp_path):
+    # one bad element among finite ones; the error names the file
+    arr = np.zeros((3, 4))
+    arr[1, 2] = value
+    path = tmp_path / "t.bin"
+    tensorio.save_tensor(path, arr)
+    with pytest.raises(ValueError, match="non-finite") as err:
+        tensorio.load_tensor(path)
+    assert str(path) in str(err.value)

@@ -4,8 +4,7 @@ import pytest
 from anomgen import schedule as sched, trainer
 from anomgen.denoiser import Denoiser, predict_noise
 from anomgen.rng import seeded_gaussian
-from anomgen.trainer import (DivergenceError, TrainLog, align, evaluate_mean_delta,
-                             pretrain_reference)
+from anomgen.trainer import align, evaluate_mean_delta, pretrain_reference
 
 from conftest import stage_config
 
@@ -153,17 +152,6 @@ def test_align_empty_set(sched_tiny):
     model, cfg = _ref(sched_tiny)
     with pytest.raises(ValueError):
         align(model, [], cfg, sched_tiny)
-
-
-def test_divergence_error(sched_tiny):
-    with pytest.raises(DivergenceError):
-        pretrain_reference([(np.full(4, np.nan), [1, 2])], stage_config(
-            "pretrain", steps=1, lr=1e-3, seed=0, batch=1), sched_tiny)
-    model, _ = _ref(sched_tiny)
-    model.params[0][0, 0] = np.nan
-    with pytest.raises(DivergenceError):
-        align(model, _anomaly_set(), stage_config("align", steps=1, lr=1e-3, seed=0, kmin=1,
-                                                   kmax=4), sched_tiny)
 
 
 # -- logging -------------------------------------------------------------------
